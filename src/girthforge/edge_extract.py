@@ -23,6 +23,7 @@ from .graph import (
     Graph,
     VertexColoring,
     check_family_free,
+    closes_forbidden_cycle,
     edge_subgraph,
     girth,
 )
@@ -340,18 +341,16 @@ def greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int) -> Graph:
     """Maximal family-free subgraph from one seeded pass over the edges.
 
     Keeps an edge iff it closes no forbidden cycle with the edges already
-    kept (simple-path search bounded by the family).  Maximality makes this
+    kept (:func:`graph.closes_forbidden_cycle`).  Maximality makes this
     the strongest deterministic fallback on dense inputs.
     """
-    from .oracle import _path_closes_forbidden
-
     order = list(range(g.m))
     random.Random(seed).shuffle(order)
     adj: list[set] = [set() for _ in range(g.n)]
     kept = []
     for i in order:
         u, v = g.edges[i]
-        if not _path_closes_forbidden(adj, u, v, fam):
+        if not closes_forbidden_cycle(adj, u, v, fam):
             adj[u].add(v)
             adj[v].add(u)
             kept.append(i)

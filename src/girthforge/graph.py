@@ -2,14 +2,17 @@
 
 Every other module builds on :class:`Graph` and uses
 :func:`check_family_free` as the independent certifier for its outputs.
+:func:`closes_forbidden_cycle` is the per-edge test that every greedy
+builder uses to decide which edges to keep.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 
 class EdgeListParseError(ValueError):
@@ -119,10 +122,6 @@ class Graph:
     def adjacency_sets(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(a) for a in self.adjacency)
 
-    @functools.cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency_sets[u]
 
@@ -228,6 +227,19 @@ class VertexColoring:
 
     def is_proper_on(self, g: Graph) -> bool:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges)
+
+
+def pair_from_index(n: int, index: int) -> tuple[int, int]:
+    """The ``index``-th pair (u, v), u < v, of ``0..n-1`` in row-major order
+    over the strict upper triangle: (0,1), (0,2), ..., (0,n-1), (1,2), ...
+
+    Closed form: counted from the last pair, the rows hold 1, 2, 3, ...
+    pairs, so the row follows from an integer square root.
+    """
+    back = n * (n - 1) // 2 - 1 - index
+    k = (math.isqrt(8 * back + 1) - 1) // 2  # row u = n-2-k holds k+1 pairs
+    u = n - 2 - k
+    return u, n - 1 - back + k * (k + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +523,97 @@ def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
             f"{fam.describe()}"
         )
     return Verdict(free=False, witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# edge-level test for incremental (greedy and branch-and-bound) builders
+# ---------------------------------------------------------------------------
+
+
+def closes_forbidden_cycle(
+    adj: Sequence[Collection[int]], u: int, v: int, fam: ForbiddenFamily
+) -> bool:
+    """Would adding the edge uv to the graph ``adj`` close a cycle in ``fam``?
+
+    ``adj[x]`` holds the neighbors of x; uv must not be an edge yet.  A
+    cycle through the new edge is uv plus a simple u-v path of length l in
+    ``adj``, so the answer is whether such a path exists with l + 1 in
+    ``fam`` (l <= bound - 1).
+
+    - ``all:L``: a shortest path is simple, so this is exactly
+      dist(u, v) <= L - 1.  Balls around u and v grow one level at a time,
+      always on the side with the smaller frontier, until they meet or
+      their radii sum to L - 1.
+    - ``even:2r``: l must be odd.  A BFS from v to radius
+      R = floor((bound - 1) / 2) gives dist(x, v) for the vertices near v;
+      a backtracking DFS from u over simple paths, with one mutable
+      on-path set, drops a branch once its remaining length budget is at
+      most R and v is not within that budget.  The BFS distance is a lower
+      bound on the length of every x-v path, so the pruning is exact.
+
+    This one test decides every edge of the greedy extractor, the greedy
+    high-girth host and the exact oracle's branch and bound.
+    """
+    if u == v or v in adj[u]:
+        raise ValueError(f"({u},{v}) is a loop or already an edge")
+    max_len = fam.bound - 1
+    if fam.kind == "all":
+        # balls around u and v whose radii sum to the steps taken so far
+        ball, other = {u}, {v}
+        frontier, other_frontier = {u}, {v}
+        for _ in range(max_len):
+            if len(frontier) > len(other_frontier):
+                ball, other = other, ball
+                frontier, other_frontier = other_frontier, frontier
+            frontier = {y for x in frontier for y in adj[x]} - ball
+            if not frontier.isdisjoint(other):
+                return True
+            if not frontier:
+                return False
+            ball |= frontier
+        return False
+
+    radius = max_len // 2
+    dist_v = {v: 0}
+    frontier = [v]
+    for d in range(1, radius + 1):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist_v:
+                    dist_v[y] = d
+                    nxt.append(y)
+        frontier = nxt
+
+    # stack[i] iterates the neighbors of path[i]; stepping from path[-1]
+    # gives a path of len(stack) edges
+    path = [u]
+    on_path = {u}
+    stack = [iter(adj[u])]
+    while stack:
+        length = len(stack)
+        budget = max_len - length  # edges left after this step
+        for y in stack[-1]:
+            if y == v:
+                if length & 1 and length >= 3:
+                    return True
+                continue
+            if y in on_path:
+                continue
+            if budget <= radius:
+                d = dist_v.get(y)
+                if d is None or d > budget:
+                    continue
+                if budget == 1:
+                    return True  # y ~ v: a path of max_len edges, and max_len is odd
+            path.append(y)
+            on_path.add(y)
+            stack.append(iter(adj[y]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    return False
 
 
 # ---------------------------------------------------------------------------

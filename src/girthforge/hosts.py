@@ -22,10 +22,12 @@ from .graph import (
     Graph,
     GirthValue,
     check_family_free,
+    closes_forbidden_cycle,
     find_cycle_up_to,
     find_short_even_cycle,
     girth,
     induced_subgraph,
+    pair_from_index,
 )
 
 GREEDY_ORDER_CAP = 3000  # all-pairs permutation kept in memory
@@ -233,26 +235,6 @@ def _bipartite_c4free_girth_is_six(graph: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _within_distance(adj: list[set], u: int, v: int, d: int) -> bool:
-    """dist(u, v) <= d, via bidirectional balls of radius ceil/floor(d/2)."""
-    ru, rv = (d + 1) // 2, d // 2
-    ball_u = {u}
-    frontier = {u}
-    for _ in range(ru):
-        frontier = {y for x in frontier for y in adj[x]} - ball_u
-        ball_u |= frontier
-    if v in ball_u:
-        return True
-    ball_v = {v}
-    frontier = {v}
-    for _ in range(rv):
-        frontier = {y for x in frontier for y in adj[x]} - ball_v
-        if frontier & ball_u:
-            return True
-        ball_v |= frontier
-    return False
-
-
 def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
     """Maximal girth->=min_girth graph from one seeded pass over all pairs.
 
@@ -268,25 +250,17 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
     random.Random(seed).shuffle(order)
     adj: list[set] = [set() for _ in range(n)]
     edges: list[tuple[int, int]] = []
-    # pair index -> (u, v) with u < v, row-major over the strict upper triangle
-    forbidden = min_girth - 2  # reject if dist(u,v) <= min_girth - 2
+    # cycles shorter than min_girth; with min_girth 3 nothing is forbidden
+    family = (
+        ForbiddenFamily.all_cycles_up_to(min_girth - 1) if min_girth >= 4 else None
+    )
     for idx in order:
-        u = 0
-        rem = idx
-        row = n - 1
-        while rem >= row:
-            rem -= row
-            row -= 1
-            u += 1
-        v = u + 1 + rem
-        if not _within_distance(adj, u, v, forbidden):
+        u, v = pair_from_index(n, idx)
+        if family is None or not closes_forbidden_cycle(adj, u, v, family):
             adj[u].add(v)
             adj[v].add(u)
             edges.append((u, v))
     graph = Graph.from_edges(n, edges)
-    family = (
-        ForbiddenFamily.all_cycles_up_to(min_girth - 1) if min_girth >= 4 else None
-    )
     host = _certify(graph, family, label=f"greedy(n={n},girth>={min_girth},seed={seed})")
     if host.certified_girth < min_girth:
         raise CertificationError("greedy construction violated its girth target")
@@ -459,17 +433,7 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"m={m} exceeds C({n},2)={total}")
     rng = random.Random(seed)
     chosen = rng.sample(range(total), m)
-    edges = []
-    for idx in chosen:
-        u = 0
-        rem = idx
-        row = n - 1
-        while rem >= row:
-            rem -= row
-            row -= 1
-            u += 1
-        edges.append((u, u + 1 + rem))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
 
 
 GENERATORS = ("star", "clique_apex", "complete_bipartite", "random_gnm", "complete")

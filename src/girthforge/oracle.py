@@ -2,7 +2,11 @@
 
 Exact family-constrained Turán numbers by branch and bound, and the
 cherry (common-neighbor) bound for C4-free bipartite graphs.  Used to
-validate extractor outputs, never to produce them.
+validate extractor outputs, never to produce them.  The branch and bound
+decides each edge with :func:`graph.closes_forbidden_cycle`, the same
+test that decides every edge of the greedy extractor and greedy host, so
+the oracle is independent of the extractors' pipelines but not of that
+test; ``tests/bruteforce.py`` checks the test itself.
 """
 
 from __future__ import annotations
@@ -10,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import CycleWitness, ForbiddenFamily, Graph, check_family_free
+from .graph import (
+    CycleWitness,
+    ForbiddenFamily,
+    Graph,
+    check_family_free,
+    closes_forbidden_cycle,
+)
 
 EXACT_EDGE_CAP = 30
 
@@ -23,30 +33,6 @@ class ExactResult:
     value: int
     witness: tuple[tuple[int, int], ...]
     explored: int
-
-
-def _path_closes_forbidden(
-    adj: list[set], u: int, v: int, fam: ForbiddenFamily
-) -> bool:
-    """Would adding edge (u,v) to the kept graph create a forbidden cycle?
-
-    Equivalent to: a simple u-v path in the kept graph of length l with
-    l+1 in the family (l <= bound-1; odd l for the even family).
-    DFS over bounded simple paths; kept graphs here have <= 30 edges.
-    """
-    max_len = fam.bound - 1
-    stack = [(u, 1, {u})]
-    while stack:
-        cur, length, used = stack.pop()
-        for nxt in adj[cur]:
-            if nxt == v:
-                if fam.matches(length + 1):
-                    return True
-                continue
-            if nxt in used or length + 1 > max_len:
-                continue
-            stack.append((nxt, length + 1, used | {nxt}))
-    return False
 
 
 def exact_ex(g: Graph, fam: ForbiddenFamily) -> ExactResult:
@@ -79,7 +65,7 @@ def exact_ex(g: Graph, fam: ForbiddenFamily) -> ExactResult:
         if i == total or count + (total - i) <= best_value:
             return
         u, v = order[i]
-        if not _path_closes_forbidden(adj, u, v, fam):
+        if not closes_forbidden_cycle(adj, u, v, fam):
             adj[u].add(v)
             adj[v].add(u)
             chosen.append((u, v))

@@ -57,6 +57,18 @@ def has_forbidden(g: Graph, kind: str, bound: int) -> bool:
     return False
 
 
+def cycle_lengths_through(g: Graph, u: int, v: int, max_len: int) -> set:
+    """Lengths (<= max_len) of the simple cycles of g + uv that use the new
+    edge uv, by enumerating every cycle of g + uv."""
+    g_plus = Graph.from_edges(g.n, list(g.edges) + [(u, v)])
+    lengths = set()
+    for c in all_cycles(g_plus, max_len):
+        steps = zip(c, c[1:] + c[:1])
+        if any({a, b} == {u, v} for a, b in steps):
+            lengths.add(len(c))
+    return lengths
+
+
 def brute_ex(g: Graph, kind: str, bound: int) -> int:
     """Maximum family-free subgraph size by subset enumeration, largest
     subsets first."""

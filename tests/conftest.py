@@ -2,7 +2,7 @@ import random
 
 from hypothesis import strategies as st
 
-from girthforge.graph import Graph
+from girthforge.graph import Graph, pair_from_index
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -25,12 +25,4 @@ def small_graphs(draw, max_n=8, max_m=None):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = random.Random(seed)
     chosen = rng.sample(range(total), m)
-    edges = []
-    for idx in chosen:
-        u = 0
-        rem = idx
-        while rem >= n - 1 - u:
-            rem -= n - 1 - u
-            u += 1
-        edges.append((u, u + 1 + rem))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])

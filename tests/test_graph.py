@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from girthforge.graph import (
     EdgeListParseError,
@@ -9,6 +10,7 @@ from girthforge.graph import (
     VertexColoring,
     bipartition,
     check_family_free,
+    closes_forbidden_cycle,
     edge_subgraph,
     find_cycle_up_to,
     find_short_even_cycle,
@@ -16,9 +18,15 @@ from girthforge.graph import (
     girth,
     girth_with_witness,
     induced_subgraph,
+    pair_from_index,
     parse_edge_list,
 )
-from bruteforce import brute_girth, brute_shortest_even, has_forbidden
+from bruteforce import (
+    brute_girth,
+    brute_shortest_even,
+    cycle_lengths_through,
+    has_forbidden,
+)
 from conftest import small_graphs
 
 
@@ -170,6 +178,80 @@ class TestFamily:
             if not verdict.free:
                 verdict.witness.validate(g)
                 assert fam.matches(verdict.witness.length)
+
+
+EDGE_TEST_FAMILIES = [ForbiddenFamily("even", b) for b in (4, 6, 8, 10)] + [
+    ForbiddenFamily("all", b) for b in range(3, 10)
+]
+
+
+def _adjacency_sets(g):
+    return [set(a) for a in g.adjacency]
+
+
+class TestClosesForbiddenCycle:
+    @given(small_graphs(max_n=10, max_m=18), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bruteforce(self, g, data):
+        non_edges = [
+            (a, b) for a in range(g.n) for b in range(a + 1, g.n)
+            if not g.has_edge(a, b)
+        ]
+        assume(non_edges)
+        u, v = data.draw(st.sampled_from(non_edges))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        lengths = cycle_lengths_through(g, u, v, 10)
+        adj = _adjacency_sets(g)
+        for fam in EDGE_TEST_FAMILIES:
+            expected = any(fam.matches(c) for c in lengths)
+            assert closes_forbidden_cycle(adj, u, v, fam) == expected, fam
+
+    def test_different_components(self):
+        # two 5-cycles, u and v on different ones
+        g = Graph.from_edges(
+            10, [(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+        )
+        for fam in EDGE_TEST_FAMILIES:
+            assert not closes_forbidden_cycle(_adjacency_sets(g), 0, 7, fam)
+
+    @pytest.mark.parametrize("u, v", [(6, 0), (0, 6)])
+    def test_isolated_endpoint(self, u, v):
+        g = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)])
+        for fam in EDGE_TEST_FAMILIES:
+            assert not closes_forbidden_cycle(_adjacency_sets(g), u, v, fam)
+
+    def test_rejects_existing_edge_and_loop(self):
+        adj = _adjacency_sets(cycle_graph(5))
+        fam = ForbiddenFamily("even", 4)
+        with pytest.raises(ValueError):
+            closes_forbidden_cycle(adj, 0, 1, fam)
+        with pytest.raises(ValueError):
+            closes_forbidden_cycle(adj, 2, 2, fam)
+
+
+def _pair_by_row_walk(n, index):
+    u, rem = 0, index
+    while rem >= n - 1 - u:
+        rem -= n - 1 - u
+        u += 1
+    return u, u + 1 + rem
+
+
+class TestPairFromIndex:
+    def test_row_major_order(self):
+        for n in range(2, 70):
+            expected = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            assert [
+                pair_from_index(n, i) for i in range(len(expected))
+            ] == expected
+
+    @given(st.integers(min_value=2, max_value=5000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_walk(self, n, data):
+        index = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2 - 1))
+        assert pair_from_index(n, index) == _pair_by_row_walk(n, index)
 
 
 class TestSubgraphs:
