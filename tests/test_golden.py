@@ -1,8 +1,10 @@
 """Golden guard: pinned sha256 digests of CLI stdout and ``--out`` files.
 
-The digests were recorded before the forbidden-cycle engine was replaced,
-so any change to a greedy decision, a report field or an output file shows
-up here as a digest mismatch.  Inputs are built inside the test from
+Each digest was recorded at the commit before the code it guards was
+rewritten (the forbidden-cycle engine; the resampler, the C4 certificate
+and the projective hosts), so any change to a greedy decision, a
+resampling step, a witness, a report field or an output file shows up
+here as a digest mismatch.  Inputs are built inside the test from
 stdlib ``random`` so they do not depend on the package's own generators.
 """
 
@@ -102,4 +104,63 @@ def test_oracle_digests(small_path, tmp_path):
     assert code == 0
     # the JSON document goes to stdout and, verbatim, to --out
     digest = "ea627eb54a8cb6221f4f5a3dd0eaffec39ed82ad3ddd9b652e467839a7314368"
+    assert (_sha(stdout), _sha(out)) == (digest, digest)
+
+
+# r -> (sha256 of stdout, sha256 of the --out file)
+DEGREE_CASES = {
+    "2": (
+        "aab96f365e8616604352fccc2379305afc6e8ecea3c9e4033099d7239bb00e41",
+        "e77b7c8e7ba2756f2bddd48dd6a3a44b79c90271dbbd4584bb1627ba15360eeb",
+    ),
+    "3": (
+        "4358ad0e503a78108d3a11ed31378260f7680f638a91eb319bf7f4dd1089be29",
+        "e77b7c8e7ba2756f2bddd48dd6a3a44b79c90271dbbd4584bb1627ba15360eeb",
+    ),
+}
+
+
+@pytest.mark.parametrize("r", sorted(DEGREE_CASES))
+def test_extract_degree_digests(r, sparse_path, tmp_path):
+    argv = ["extract", "degree", "--in", str(sparse_path), "--trials", "2",
+            "--seed", "5", "--r", r]
+    code, stdout, out = _run(argv, tmp_path / "out.edges")
+    assert code == 0
+    assert (_sha(stdout), _sha(out)) == DEGREE_CASES[r]
+
+
+# (kind, q) -> (sha256 of stdout, of the --out file, of its .meta)
+PROJECTIVE_CASES = {
+    ("incidence", "5"): (
+        "e0aff95caa3750593cae23601e98e0b4c83aed53d65c69012fb9d535b34ea624",
+        "cd42dd9ceaa25495fa4a8bfb0121ed4d9aed7f94c1a866d98b6445290835c577",
+        "f1aaef90e60cf7b85beecf24d893a5ceb381e9440bfa95f03bea90520089fe6f",
+    ),
+    ("polarity", "7"): (
+        "7e8b00e78b0e8eb107b9f55f039192d2959a6e34c213e2f24046d86fd32fc7c6",
+        "278e733fdeb5392d116d096a21deae240d6b3b35d8fba55ea69c3d785af5792f",
+        "154e243738544296dfb251f570f176e7e8a5372f40b1ae4667a53c94ad378f52",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, q", sorted(PROJECTIVE_CASES))
+def test_projective_host_digests(kind, q, tmp_path):
+    argv = ["host", "build", "--kind", kind, "--q", q]
+    out_path = tmp_path / "host.edges"
+    code, stdout, out = _run(argv, out_path)
+    meta = (tmp_path / "host.edges.meta").read_text()
+    assert code == 0
+    assert (_sha(stdout), _sha(out), _sha(meta)) == PROJECTIVE_CASES[(kind, q)]
+
+
+def test_verify_large_c4_witness_digest(tmp_path):
+    # K_{100,100}: sum of C(d,2) is 990,000, past the small-workload C4
+    # path, so this pins the witness of the large-graph path
+    path = tmp_path / "k100.edges"
+    path.write_text("".join(f"{i} {100 + j}\n" for i in range(100) for j in range(100)))
+    argv = ["verify", "--family", "even:4", "--in", str(path)]
+    code, stdout, out = _run(argv, tmp_path / "verify.json")
+    assert code == 2
+    digest = "a818d21fd060fcda9f7ec682c20b404acde58d1f2a434372543c5b86ac272fc8"
     assert (_sha(stdout), _sha(out)) == (digest, digest)
