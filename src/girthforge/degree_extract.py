@@ -83,6 +83,35 @@ class ResampleResult:
     residual_events: int
 
 
+def _vertex_events(
+    v: int,
+    nbrs: tuple[int, ...],
+    colors,
+    host_adj,
+    ell: int,
+    q: int,
+    t: int,
+) -> tuple[bool, list[BadEvent]]:
+    """Whether v has a type-A event, and its type-B events by color.
+
+    Both depend only on the colors of v and of its neighbors ``nbrs``.
+    """
+    d = len(nbrs)
+    if d == 0:
+        return False, []
+    own = host_adj[colors[v]]
+    d_prime = sum(1 for w in nbrs if colors[w] in own)
+    groups: dict[int, list[int]] = {}
+    for w in nbrs:
+        groups.setdefault(colors[w], []).append(w)
+    type_b = [
+        BadEvent("B", v, c, tuple(sorted(groups[c])[: t + 1]))
+        for c in sorted(groups)
+        if len(groups[c]) > t
+    ]
+    return 2 * ell * d_prime <= q * d, type_b
+
+
 def find_bad_events(
     g: Graph, chi: VertexColoring, host: HostGraph, q: int, t: int
 ) -> list[BadEvent]:
@@ -97,24 +126,15 @@ def find_bad_events(
     if q < 1 or t < 1:
         raise ValueError("need q >= 1 and t >= 1")
     host_adj = host.graph.adjacency_sets
-    colors = chi.colors
-    ell = chi.ell
     events: list[BadEvent] = []
     type_b: list[BadEvent] = []
     for v in range(g.n):
-        d = g.degree(v)
-        if d == 0:
-            continue
-        d_prime = sum(1 for w in g.adjacency[v] if colors[w] in host_adj[colors[v]])
-        if 2 * ell * d_prime <= q * d:
+        bad_a, bad_b = _vertex_events(
+            v, g.adjacency[v], chi.colors, host_adj, chi.ell, q, t
+        )
+        if bad_a:
             events.append(BadEvent("A", v))
-        counts: dict[int, list[int]] = {}
-        for w in g.adjacency[v]:
-            counts.setdefault(colors[w], []).append(w)
-        for c in sorted(counts):
-            group = counts[c]
-            if len(group) > t:
-                type_b.append(BadEvent("B", v, c, tuple(sorted(group)[: t + 1])))
+        type_b.extend(bad_b)
     events.extend(type_b)
     return events
 
@@ -129,32 +149,58 @@ def resample_until_clear(
 ) -> ResampleResult:
     """Resample the first bad event's dependency set until none remain.
 
-    Type A resamples the vertex and its whole neighborhood; type B only the
-    witness set.  Hitting ``max_rounds`` returns the final coloring flagged
-    degraded together with its residual event count (never silent).
+    The first event by :meth:`BadEvent.sort_key` (lowest type-A vertex,
+    else lowest (vertex, color) type-B event) is resampled: type A redraws
+    the vertex and its whole neighborhood, type B only the witness set.
+    As in Moser and Tardos's algorithm, a redraw can change only the
+    events at the redrawn vertices and their neighbors, so after one full
+    :func:`find_bad_events` scan the event sets are updated there alone.
+    Hitting ``max_rounds`` returns the final coloring flagged degraded
+    together with its residual event count (never silent).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     ell = host.graph.n
     rng = random.Random(seed)
     chi = VertexColoring.uniform(g.n, ell, rng)
-    rounds = 0
-    while True:
-        events = find_bad_events(g, chi, host, q, t)
-        if not events:
-            return ResampleResult(chi, rounds, False, 0)
-        if rounds >= max_rounds:
-            return ResampleResult(chi, rounds, True, len(events))
-        event = min(events, key=BadEvent.sort_key)
+    type_a: set[int] = set()
+    type_b: dict[int, list[BadEvent]] = {}  # vertex -> its events by color
+    for event in find_bad_events(g, chi, host, q, t):
         if event.tag == "A":
-            targets = (event.vertex,) + g.adjacency[event.vertex]
+            type_a.add(event.vertex)
         else:
-            targets = event.witness
-        colors = list(chi.colors)
+            type_b.setdefault(event.vertex, []).append(event)
+    adj = g.adjacency
+    host_adj = host.graph.adjacency_sets
+    colors = list(chi.colors)
+    rounds = 0
+    while type_a or type_b:
+        if rounds >= max_rounds:
+            residual = len(type_a) + sum(map(len, type_b.values()))
+            chi = VertexColoring(tuple(colors), ell)
+            return ResampleResult(chi, rounds, True, residual)
+        if type_a:
+            v = min(type_a)
+            targets = (v,) + adj[v]
+        else:
+            targets = type_b[min(type_b)][0].witness
         for v in targets:
             colors[v] = rng.randrange(ell)
-        chi = VertexColoring(tuple(colors), ell)
         rounds += 1
+        touched = set(targets)
+        for v in targets:
+            touched.update(adj[v])
+        for v in touched:
+            bad_a, bad_b = _vertex_events(v, adj[v], colors, host_adj, ell, q, t)
+            if bad_a:
+                type_a.add(v)
+            else:
+                type_a.discard(v)
+            if bad_b:
+                type_b[v] = bad_b
+            else:
+                type_b.pop(v, None)
+    return ResampleResult(VertexColoring(tuple(colors), ell), rounds, False, 0)
 
 
 def edge_retention(

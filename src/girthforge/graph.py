@@ -9,6 +9,7 @@ builder uses to decide which edges to keep.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -359,12 +360,32 @@ def _witness_from_detection(x: int, y: int, parent: dict) -> CycleWitness:
     return CycleWitness(tuple(cycle))
 
 
+def _component_count(g: Graph) -> int:
+    seen = [False] * g.n
+    count = 0
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        count += 1
+        seen[s] = True
+        stack = [s]
+        while stack:
+            for y in g.adjacency[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+    return count
+
+
 def girth_with_witness(g: Graph) -> tuple[GirthValue, Optional[CycleWitness]]:
     """Exact girth with a shortest-cycle witness (BFS from every vertex).
 
     Per root, BFS is truncated at half the current best bound; the minimum
-    detection over all roots equals the girth.
+    detection over all roots equals the girth.  A forest (m = n minus the
+    number of components) is answered in O(n + m) without the BFS.
     """
+    if g.m <= g.n - _component_count(g):
+        return INFINITE, None
     best: GirthValue = INFINITE
     best_witness: Optional[CycleWitness] = None
     for root in range(g.n):
@@ -412,10 +433,17 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
 
 
 def _find_c4(g: Graph) -> Optional[CycleWitness]:
-    """C4 search by common-neighbor pair counting, O(sum C(d,2))."""
+    """C4 search by common-neighbor pair counting, O(sum C(d,2)).
+
+    A C4 is two vertices with two common neighbors.  Up to a workload of
+    400,000 neighbor pairs a dict returns the first repeated pair met;
+    beyond it :func:`_smallest_shared_pair` returns the smallest such pair
+    in bounded memory, and the witness is that pair with its two smallest
+    common neighbors.
+    """
     workload = sum(d * (d - 1) // 2 for d in g.degrees())
     if workload > 400_000:
-        pair = _duplicated_pair_numpy(g)
+        pair = _smallest_shared_pair(g)
         if pair is None:
             return None
         a, b = pair
@@ -434,27 +462,66 @@ def _find_c4(g: Graph) -> Optional[CycleWitness]:
     return None
 
 
-def _duplicated_pair_numpy(g: Graph):
-    """Find a neighbor pair shared by two vertices, vectorized for big hosts."""
+_PAIR_WALKS = 1 << 20  # neighbor pairs listed per block
+_PAIR_SLOTS = 1 << 22  # (row, column) slots per block, rows x n
+
+
+def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
+    """Lexicographically smallest pair a < b with two or more common
+    neighbors, or None when ``g`` is C4-free.
+
+    Rows a are walked in increasing order, in blocks.  A block lists every
+    walk a - u - b with b > a (for each edge au, the part of u's sorted
+    neighbor list after a), so each neighbor pair {a, b} of u is listed
+    once, from its smaller end.  A pair listed twice in one block has two
+    common neighbors, and the first block holding one holds the smallest.
+    The work is O(n + sum C(d,2)); memory is O(n + m) plus one block of
+    ``_PAIR_WALKS`` walks and ``_PAIR_SLOTS`` slots, on any input.
+    """
     import numpy as np
 
-    codes = []
     n = g.n
-    for u in range(n):
-        nbrs = np.asarray(g.adjacency[u], dtype=np.int64)
-        if nbrs.size < 2:
-            continue
-        ii, jj = np.triu_indices(nbrs.size, k=1)
-        codes.append(nbrs[ii] * n + nbrs[jj])
-    if not codes:
-        return None
-    allcodes = np.concatenate(codes)
-    uniq, counts = np.unique(allcodes, return_counts=True)
-    dup = uniq[counts >= 2]
-    if dup.size == 0:
-        return None
-    code = int(dup[0])
-    return code // n, code % n
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(
+        itertools.chain.from_iterable(g.adjacency), dtype=np.intp, count=int(indptr[-1])
+    )
+    # entry p is the edge a -> u = indices[p]; rank[p] is where a sits in
+    # u's neighbor list (entries reach u in increasing a, as rows do)
+    order = np.argsort(indices, kind="stable")
+    rank = np.empty_like(indices)
+    rank[order] = np.arange(indices.size) - indptr[indices[order]]
+    first = indptr[indices] + rank + 1  # the first b > a in u's list
+    lens = deg[indices] - rank - 1
+    walks = np.zeros(indices.size + 1, dtype=np.intp)
+    np.cumsum(lens, out=walks[1:])
+    row_walks = walks[indptr]  # walks from rows < a
+    rows_cap = max(1, _PAIR_SLOTS // max(n, 1))
+    # slot[key] holds the index of a walk with that key; only slots written
+    # in the current block are read, so the array is never cleared
+    slot = np.empty(min(rows_cap, n) * n, dtype=np.intp)
+    a0 = 0
+    while a0 < n:
+        a1 = int(np.searchsorted(row_walks, row_walks[a0] + _PAIR_WALKS, "right")) - 1
+        a1 = min(max(a1, a0 + 1), a0 + rows_cap, n)
+        lo, hi = indptr[a0], indptr[a1]
+        total = int(walks[hi] - walks[lo])
+        if total:
+            ids = np.arange(total)
+            pos = np.repeat(first[lo:hi] - (walks[lo:hi] - walks[lo]), lens[lo:hi])
+            pos += ids
+            keys = indices[pos]  # b, then (a - a0) * n + b
+            keys += np.repeat(
+                np.arange(0, (a1 - a0) * n, n), np.diff(row_walks[a0 : a1 + 1])
+            )
+            slot[keys] = ids
+            repeated = keys[slot[keys] != ids]
+            if repeated.size:
+                key = int(repeated.min())
+                return a0 + key // n, key % n
+        a0 = a1
+    return None
 
 
 def _even_cycle_meet_in_middle(g: Graph, half: int) -> Optional[CycleWitness]:

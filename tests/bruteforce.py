@@ -8,6 +8,7 @@ algorithms beyond the Graph container itself.
 from __future__ import annotations
 
 import itertools
+import random
 
 from girthforge.graph import Graph
 
@@ -116,3 +117,60 @@ def projective_degree_counts(q: int):
                 deg += 1
         counts[deg] = counts.get(deg, 0) + 1
     return counts
+
+
+def brute_bad_events(g: Graph, colors, host_graph: Graph, q: int, t: int):
+    """Bad events of a coloring against a host, recomputed from their
+    definitions, in resampling order: ("A", v, 0, ()) when v (not isolated)
+    has at most q*d(v)/(2*ell) neighbors whose colors are host-adjacent to
+    its own; ("B", v, c, witness) when more than t neighbors of v have
+    color c, witness being the t+1 smallest of them."""
+    ell = host_graph.n
+    events = []
+    for v in range(g.n):
+        nbrs = g.adjacency[v]
+        if not nbrs:
+            continue
+        d_prime = sum(1 for w in nbrs if host_graph.has_edge(colors[v], colors[w]))
+        if 2 * ell * d_prime <= q * len(nbrs):
+            events.append(("A", v, 0, ()))
+        for c in set(colors[w] for w in nbrs):
+            group = sorted(w for w in nbrs if colors[w] == c)
+            if len(group) > t:
+                events.append(("B", v, c, tuple(group[: t + 1])))
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    return events
+
+
+def reference_resample(g: Graph, host_graph: Graph, q: int, t: int, seed: int,
+                       max_rounds: int):
+    """The resampling loop with a full rescan of every vertex each round.
+
+    Colors are drawn uniformly in vertex order from random.Random(seed);
+    each round redraws, in order, the first event's vertex and neighbors
+    (type A) or its witness (type B).  Returns (colors, rounds, degraded,
+    residual event count)."""
+    ell = host_graph.n
+    rng = random.Random(seed)
+    colors = [rng.randrange(ell) for _ in range(g.n)]
+    rounds = 0
+    while True:
+        events = brute_bad_events(g, colors, host_graph, q, t)
+        if not events:
+            return tuple(colors), rounds, False, 0
+        if rounds >= max_rounds:
+            return tuple(colors), rounds, True, len(events)
+        tag, v, _, witness = events[0]
+        targets = (v,) + g.adjacency[v] if tag == "A" else witness
+        for x in targets:
+            colors[x] = rng.randrange(ell)
+        rounds += 1
+
+
+def brute_smallest_shared_pair(g: Graph):
+    """Smallest pair a < b (lexicographically) with two or more common
+    neighbors, or None."""
+    for a, b in itertools.combinations(range(g.n), 2):
+        if len(set(g.adjacency[a]) & set(g.adjacency[b])) >= 2:
+            return a, b
+    return None

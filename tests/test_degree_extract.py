@@ -28,6 +28,7 @@ from girthforge.degree_extract import (
     find_bad_events,
     resample_until_clear,
 )
+from bruteforce import brute_bad_events, reference_resample
 from conftest import small_graphs
 
 
@@ -117,6 +118,54 @@ class TestResample:
         a = resample_until_clear(g, host, 1, 3, seed=9, max_rounds=100)
         b = resample_until_clear(g, host, 1, 3, seed=9, max_rounds=100)
         assert a.coloring == b.coloring and a.rounds == b.rounds
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        g=small_graphs(max_n=12),
+        pg_order=st.sampled_from([2, 3]),
+        q=st.integers(min_value=1, max_value=5),
+        t=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        max_rounds=st.integers(min_value=1, max_value=50),
+    )
+    def test_matches_full_rescan(self, g, pg_order, q, t, seed, max_rounds):
+        host = incidence_graph_pg2(pg_order)
+        res = resample_until_clear(g, host, q, t, seed, max_rounds)
+        got = (res.coloring.colors, res.rounds, res.degraded, res.residual_events)
+        assert got == reference_resample(g, host.graph, q, t, seed, max_rounds)
+        assert res.coloring.ell == host.order
+
+    def test_matches_full_rescan_clearing_and_capped(self):
+        outcomes = set()
+        configs = ((2, 1, 3, 50), (3, 2, 2, 20), (2, 3, 1, 5))
+        for n, m in ((6, 8), (12, 30), (20, 80), (40, 60)):
+            g = random_gnm(n, m, n)
+            for pg_order, q, t, cap in configs:
+                host = incidence_graph_pg2(pg_order)
+                for seed in range(6):
+                    res = resample_until_clear(g, host, q, t, seed, cap)
+                    got = (res.coloring.colors, res.rounds, res.degraded,
+                           res.residual_events)
+                    assert got == reference_resample(g, host.graph, q, t, seed, cap)
+                    outcomes.add((res.degraded, res.rounds > 0))
+        # runs that clear after resampling and runs that hit the cap
+        assert {(False, True), (True, True)} <= outcomes
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=small_graphs(max_n=10),
+        q=st.integers(min_value=1, max_value=5),
+        t=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_find_bad_events_matches_definition(self, g, q, t, seed):
+        host = _host()
+        chi = VertexColoring.uniform(g.n, host.order, random.Random(seed))
+        got = [
+            (e.tag, e.vertex, e.color or 0, e.witness)
+            for e in sorted(find_bad_events(g, chi, host, q, t), key=BadEvent.sort_key)
+        ]
+        assert got == brute_bad_events(g, chi.colors, host.graph, q, t)
 
 
 class TestEdgeRetention:

@@ -1,3 +1,6 @@
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,8 +24,10 @@ from girthforge.graph import (
     pair_from_index,
     parse_edge_list,
 )
+from girthforge import graph as graph_mod
 from bruteforce import (
     brute_girth,
+    brute_smallest_shared_pair,
     brute_shortest_even,
     cycle_lengths_through,
     has_forbidden,
@@ -114,6 +119,70 @@ class TestGirth:
                 w.validate(g)
             else:
                 assert w is None
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        isolated=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_forests_with_isolated_vertices(self, n, isolated, seed):
+        # a random forest (each vertex joins an earlier one or starts a
+        # new tree) plus isolated vertices
+        rng = random.Random(seed)
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        g = Graph.from_edges(n + isolated, edges)
+        assert brute_girth(g) is None
+        assert girth_with_witness(g) == (INFINITE, None)
+
+    def test_isolated_vertices_only(self):
+        assert girth_with_witness(Graph.from_edges(7, [])) == (INFINITE, None)
+        assert girth_with_witness(Graph.from_edges(0, [])) == (INFINITE, None)
+
+    @pytest.mark.parametrize("cycle_len", [3, 4, 5, 8])
+    def test_long_tree_with_one_short_cycle(self, cycle_len):
+        # a 300-vertex path with a chord closing one cycle far from vertex 0,
+        # plus a second tree component
+        edges = [(i, i + 1) for i in range(299)]
+        edges.append((200, 200 + cycle_len - 1))
+        edges += [(300, 301), (301, 302)]
+        g = Graph.from_edges(303, edges)
+        value, witness = girth_with_witness(g)
+        assert value == cycle_len == brute_girth(g)
+        witness.validate(g)
+        assert witness.length == cycle_len
+
+
+class TestSmallestSharedPair:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=small_graphs(max_n=14),
+        walks=st.sampled_from([1, 2, 3, 7, 1 << 20]),
+        slots=st.sampled_from([1, 5, 30, 1 << 22]),
+    )
+    def test_matches_bruteforce(self, g, walks, slots):
+        # small block sizes force many blocks, including one-row blocks
+        with mock.patch.object(graph_mod, "_PAIR_WALKS", walks), mock.patch.object(
+            graph_mod, "_PAIR_SLOTS", slots
+        ):
+            got = graph_mod._smallest_shared_pair(g)
+        assert got == brute_smallest_shared_pair(g)
+
+    def test_c4_free_host_and_complete_bipartite(self):
+        assert graph_mod._smallest_shared_pair(petersen()) is None
+        k = Graph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
+        assert graph_mod._smallest_shared_pair(k) == (0, 1)
+
+    def test_large_workload_witness(self):
+        # sum C(d,2) past the dict path's limit: the witness is the smallest
+        # shared pair with its two smallest common neighbors
+        edges = [(i, 200 + j) for i in range(200) for j in range(100)]
+        edges = [e for e in edges if e not in {(0, 200), (1, 201)}]
+        g = Graph.from_edges(300, edges)
+        w = find_short_even_cycle(g, 4)
+        assert w.vertices == (202, 0, 203, 1)
+        w.validate(g)
 
 
 class TestEvenCycleSearch:
