@@ -120,7 +120,6 @@ class TestGirth:
             else:
                 assert w is None
 
-
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=40),
