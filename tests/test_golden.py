@@ -2,10 +2,11 @@
 
 Each digest was recorded at the commit before the code it guards was
 rewritten (the forbidden-cycle engine; the resampler, the C4 certificate
-and the projective hosts), so any change to a greedy decision, a
-resampling step, a witness, a report field or an output file shows up
-here as a digest mismatch.  Inputs are built inside the test from
-stdlib ``random`` so they do not depend on the package's own generators.
+and the projective hosts; the closed-form host lines and
+``Graph.from_edges``), so any change to a greedy decision, a resampling
+step, a witness, a report field or an output file shows up here as a
+digest mismatch.  Inputs are built inside the test from stdlib
+``random`` so they do not depend on the package's own generators.
 """
 
 import contextlib
@@ -140,6 +141,18 @@ PROJECTIVE_CASES = {
         "7e8b00e78b0e8eb107b9f55f039192d2959a6e34c213e2f24046d86fd32fc7c6",
         "278e733fdeb5392d116d096a21deae240d6b3b35d8fba55ea69c3d785af5792f",
         "154e243738544296dfb251f570f176e7e8a5372f40b1ae4667a53c94ad378f52",
+    ),
+    # q = 31: all three point forms occur in bulk, and the C4 checks of
+    # both hosts take the large-workload path (incidence: 985,056 pairs)
+    ("incidence", "31"): (
+        "03ab290aa94cbe1715e8475e050ea3575afecc543af20d59a5b8e369b0493268",
+        "14944b7bd0ca4b3eb2b4686256210c6b8158e72a87fb1da2bf672299fb8692e5",
+        "bb28c262fca17f1d50405b3b81707895da791a12fdf4d6746c996bcfbaae9140",
+    ),
+    ("polarity", "31"): (
+        "2cd56b8832d7b4fca96a7f0b5efef043d8cbb383ec6d3603a8a462c0322d8118",
+        "83672dc4bf7af2e2b9a989fd2c81e9a97bb120466f7ebedb711a5510c6568bdd",
+        "2ab3c4fff579a92e8126398e39fe059f11fbd4d67370c8d25647034ee5b82484",
     ),
 }
 
