@@ -80,23 +80,30 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on ``0..n-1`` from (u, v) pairs in either orientation.
+
+        Raises ValueError on a self-loop, an endpoint outside ``0..n-1`` or
+        a parallel edge.  The pairs are normalised in one pass, reusing
+        tuples already ordered u < v, and validated in bulk by one
+        ``all()`` and one ``set()``.  Only when that check fails (or a pair
+        is not a hashable 2-tuple) are they scanned one by one, which
+        raises the first error in input order.
+        """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
+        edges = list(edges)
+        try:
+            norm = [e if u < v else (v, u) for e in edges for u, v in (e,)]
+            valid = all(0 <= u < v < n for u, v in norm) and len(set(norm)) == len(norm)
+        except (TypeError, ValueError):
+            valid = False
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"parallel edge ({e[0]},{e[1]})")
-            seen.add(e)
-            norm.append(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
+        if valid:
+            for u, v in norm:
+                adj[u].append(v)
+                adj[v].append(u)
+        else:
+            norm = _scan_edges(n, edges, adj)
         return Graph(
             n=n,
             edges=tuple(norm),
@@ -125,6 +132,29 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency_sets[u]
+
+
+def _scan_edges(
+    n: int, edges: Iterable[tuple[int, int]], adj: list[list[int]]
+) -> list[tuple[int, int]]:
+    """Normalise and check the edges one at a time, in input order, filling
+    ``adj``; raises at the first self-loop, out-of-range endpoint or
+    parallel edge."""
+    seen: set[tuple[int, int]] = set()
+    norm: list[tuple[int, int]] = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"parallel edge ({e[0]},{e[1]})")
+        seen.add(e)
+        norm.append(e)
+        adj[e[0]].append(e[1])
+        adj[e[1]].append(e[0])
+    return norm
 
 
 @dataclass(frozen=True)
@@ -471,10 +501,19 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     neighbors, or None when ``g`` is C4-free.
 
     Rows a are walked in increasing order, in blocks.  A block lists every
-    walk a - u - b with b > a (for each edge au, the part of u's sorted
-    neighbor list after a), so each neighbor pair {a, b} of u is listed
-    once, from its smaller end.  A pair listed twice in one block has two
-    common neighbors, and the first block holding one holds the smallest.
+    walk a - u - b with a < u and a < b (for each edge au with u > a, the
+    part of u's sorted neighbor list after a), so each neighbor pair
+    {a, b} of u is listed at most once, from its smaller end.  A pair
+    listed twice in one block has two common neighbors, and the first
+    block holding one holds the smallest.
+
+    Dropping the walks with u < a loses no answer.  Let (a, b) be the
+    smallest shared pair.  If a common neighbor u of it were below a, then
+    u and any other common neighbor w would form a smaller shared pair
+    {u, w}, with common neighbors a and b.  So every common neighbor of
+    (a, b) exceeds a, and the pair is still listed twice from row a.  On a
+    bipartite point-line graph this drops every walk that starts at a line.
+
     The work is O(n + sum C(d,2)); memory is O(n + m) plus one block of
     ``_PAIR_WALKS`` walks and ``_PAIR_SLOTS`` slots, on any input.
     """
@@ -493,7 +532,8 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     rank = np.empty_like(indices)
     rank[order] = np.arange(indices.size) - indptr[indices[order]]
     first = indptr[indices] + rank + 1  # the first b > a in u's list
-    lens = deg[indices] - rank - 1
+    # walks a - u - b with u < a are dropped: see the docstring
+    lens = np.where(indices > np.repeat(np.arange(n), deg), deg[indices] - rank - 1, 0)
     walks = np.zeros(indices.size + 1, dtype=np.intp)
     np.cumsum(lens, out=walks[1:])
     row_walks = walks[indptr]  # walks from rows < a

@@ -21,7 +21,6 @@ from .graph import (
     ForbiddenFamily,
     Graph,
     GirthValue,
-    bipartition,
     check_family_free,
     closes_forbidden_cycle,
     find_cycle_up_to,
@@ -131,27 +130,38 @@ def _pg2_points(q: int) -> list[tuple[int, int, int]]:
     return pts
 
 
-_PG2_ROW_BLOCK = 512
+def _pg2_orthogonal_pairs(q: int):
+    """Index arrays (i, j) of the pairs of projective points with
+    x_i . x_j == 0 (mod q), in row-major order (i, then j).
 
+    Each point x has exactly q + 1 such y, found in closed form with
+    modular inverses, in increasing index order: first the y = (1, a, b)
+    (index a q + b), then the y = (0, 1, a) (q^2 + a) or (0, 0, 1)
+    (q^2 + q).  By the form of x:
 
-def _pg2_orthogonal_pairs(q: int) -> tuple[list[int], list[int]]:
-    """Index pairs (i, j) of projective points with x_i . x_j == 0 (mod q),
-    in row-major order (i, then j).
+    - x2 != 0: b = -(x0 + x1 a) / x2 for each a, then a = -x1 / x2.
+    - x2 == 0, x1 != 0: a = -x0 / x1 with every b, then (0, 0, 1).
+    - x = (1, 0, 0): every (0, 1, a), then (0, 0, 1).
 
-    The product matrix is built in int32 blocks of rows (entries are at
-    most 3 * 100**2), so memory stays at one block, not the n x n matrix.
+    The work and memory are O(n q) for the n = q^2 + q + 1 points, not the
+    n^2 products of the definition.
     """
     import numpy as np
 
-    pts = np.array(_pg2_points(q), dtype=np.int32)
-    rows: list[int] = []
-    cols: list[int] = []
-    for start in range(0, len(pts), _PG2_ROW_BLOCK):
-        block = (pts[start : start + _PG2_ROW_BLOCK] @ pts.T) % q
-        ii, jj = np.nonzero(block == 0)
-        rows.extend((ii + start).tolist())
-        cols.extend(jj.tolist())
-    return rows, cols
+    x0, x1, x2 = np.array(_pg2_points(q), dtype=np.int64).T
+    inv = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
+    free = np.arange(q, dtype=np.int64)
+    ys = np.empty((len(x0), q + 1), dtype=np.int64)  # row i: the j of point i
+    s = np.flatnonzero(x2)
+    ys[s, :q] = free * q + -(x0[s, None] + x1[s, None] * free) * inv[x2[s], None] % q
+    ys[s, q] = q * q + -x1[s] * inv[x2[s]] % q
+    s = np.flatnonzero((x2 == 0) & (x1 != 0))
+    ys[s, :q] = (-x0[s, None] * inv[x1[s], None] % q) * q + free
+    ys[s, q] = q * q + q
+    s = np.flatnonzero((x2 == 0) & (x1 == 0))
+    ys[s, :q] = q * q + free
+    ys[s, q] = q * q + q
+    return np.repeat(np.arange(len(x0)), q + 1), ys.ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,8 +177,8 @@ def polarity_graph(q: int) -> HostGraph:
         raise ValueError("q outside the supported range 2..101")
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
-    edges = [(i, j) for i, j in zip(rows, cols) if i < j]
-    graph = Graph.from_edges(n, edges)
+    upper = rows < cols
+    graph = Graph.from_edges(n, zip(rows[upper].tolist(), cols[upper].tolist()))
     host = _certify(
         graph,
         ForbiddenFamily.even_cycles_up_to(4),
@@ -188,9 +198,9 @@ def incidence_graph_pg2(q: int) -> HostGraph:
 
     Point i is joined to line n + j (n = q^2+q+1, lines dual to points)
     when x_i . x_j == 0 (mod q).  The exact girth is certified without a
-    full girth scan: one C4 check (the even:4 certificate in
-    :func:`_certify`) and a bipartition give girth >= 6, and an exhibited
-    6-cycle pins it.
+    girth scan: every edge is checked to join the two parts, the one C4
+    check (the even:4 certificate in :func:`_certify`) rules out 4-cycles,
+    and an exhibited 6-cycle pins the girth at 6.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -198,8 +208,7 @@ def incidence_graph_pg2(q: int) -> HostGraph:
         raise ValueError("q outside the supported range 2..101")
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
-    edges = [(i, n + j) for i, j in zip(rows, cols)]
-    graph = Graph.from_edges(2 * n, edges)
+    graph = Graph.from_edges(2 * n, zip(rows.tolist(), (cols + n).tolist()))
     parts = (tuple(range(n)), tuple(range(n, 2 * n)))
     for v in range(2 * n):
         if graph.degree(v) != q + 1:
@@ -209,24 +218,40 @@ def incidence_graph_pg2(q: int) -> HostGraph:
         ForbiddenFamily.even_cycles_up_to(4),
         label=f"incidence_pg2(q={q})",
         parts=parts,
-        known_girth=_bipartite_girth_six(graph),
+        known_girth=_bipartite_girth_six(graph, parts),
     )
     return host
 
 
-def _bipartite_girth_six(graph: Graph) -> int:
-    """Girth exactly 6 for a C4-free graph: it is checked bipartite, so it
-    has no odd cycle, and one 6-cycle is exhibited.
+def _bipartite_girth_six(graph: Graph, parts) -> int:
+    """Girth exactly 6 for a C4-free graph with the bipartition ``parts``.
+
+    ``parts`` is checked to partition the vertices, and no vertex to have
+    a neighbor on its own side, in O(n + m); so every edge joins the two
+    sides and the graph has no odd cycle.  A 6-cycle is then built from
+    vertex 0: its two smallest neighbors l1 < l2, the smallest other
+    neighbor p1 of l1 and p2 of l2, and the smallest common neighbor of p1
+    and p2.  It is checked by :meth:`CycleWitness.validate`, and any
+    failure raises CertificationError.
 
     C4-freeness is not checked here.  The caller passes the result to
     :func:`_certify` with the even:4 family, and that check raises before
     any host is returned if the graph has a C4.
     """
-    if bipartition(graph) is None:
-        raise CertificationError("incidence graph is not bipartite")
-    six = find_cycle_up_to(graph, 6)
-    if six is None or six.length != 6:
-        raise CertificationError("incidence graph: no 6-cycle exhibited")
+    sides = [frozenset(part) for part in parts]
+    if sides[0] | sides[1] != frozenset(range(graph.n)) or sum(map(len, parts)) != graph.n:
+        raise CertificationError("parts do not partition the vertex set")
+    adj = graph.adjacency
+    if any(not side.isdisjoint(adj[v]) for side in sides for v in side):
+        raise CertificationError("an edge lies inside one part")
+    try:
+        l1, l2 = adj[0][:2]
+        p1 = next(p for p in adj[l1] if p != 0)
+        p2 = next(p for p in adj[l2] if p != 0)
+        l3 = min(graph.adjacency_sets[p1] & graph.adjacency_sets[p2])
+    except (IndexError, StopIteration, ValueError):
+        raise CertificationError("no 6-cycle exhibited from vertex 0") from None
+    CycleWitness((0, l1, p1, l3, p2, l2)).validate(graph)
     return 6
 
 

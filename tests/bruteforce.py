@@ -174,3 +174,47 @@ def brute_smallest_shared_pair(g: Graph):
         if len(set(g.adjacency[a]) & set(g.adjacency[b])) >= 2:
             return a, b
     return None
+
+
+def brute_orthogonal_pairs(q: int):
+    """Index pairs (i, j) of projective points with x_i . x_j == 0 (mod q),
+    in row-major order, from the dot products of every pair of points.
+    Points are indexed (1, a, b) -> a q + b, (0, 1, a) -> q^2 + a and
+    (0, 0, 1) -> q^2 + q.  Products are taken in blocks of rows so the
+    n x n matrix is never held whole."""
+    import numpy as np
+
+    pts = [(1, a, b) for a in range(q) for b in range(q)]
+    pts += [(0, 1, a) for a in range(q)] + [(0, 0, 1)]
+    pts = np.array(pts, dtype=np.int64)
+    rows: list[int] = []
+    cols: list[int] = []
+    for start in range(0, len(pts), 512):
+        ii, jj = np.nonzero((pts[start : start + 512] @ pts.T) % q == 0)
+        rows.extend((ii + start).tolist())
+        cols.extend(jj.tolist())
+    return rows, cols
+
+
+def reference_from_edges(n: int, edges) -> Graph:
+    """Graph construction one edge at a time, raising ValueError at the
+    first self-loop, out-of-range endpoint or parallel edge in input
+    order."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen: set = set()
+    norm: list = []
+    adj: list = [[] for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"parallel edge ({e[0]},{e[1]})")
+        seen.add(e)
+        norm.append(e)
+        adj[e[0]].append(e[1])
+        adj[e[1]].append(e[0])
+    return Graph(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adj))

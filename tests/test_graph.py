@@ -31,6 +31,7 @@ from bruteforce import (
     brute_shortest_even,
     cycle_lengths_through,
     has_forbidden,
+    reference_from_edges,
 )
 from conftest import small_graphs
 
@@ -68,6 +69,73 @@ class TestGraphBasics:
         g = cycle_graph(5)
         assert g.degrees() == (2,) * 5
         assert g.min_degree() == g.max_degree() == 2
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges): a simple graph's edges in random orientations, with
+    loops, duplicates in either orientation, negative and out-of-range ids
+    injected at random positions, and some pairs given as lists."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    kinds = ["loop", "dup", "flipped", "negative", "high"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        vertex = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+        if kind == "loop":
+            bad = (vertex, vertex)
+        elif kind in ("dup", "flipped") and edges:
+            u, v = draw(st.sampled_from(edges))
+            bad = (v, u) if kind == "flipped" else (u, v)
+        elif kind == "negative":
+            bad = (draw(st.integers(min_value=-3, max_value=-1)), vertex)
+        else:
+            bad = (vertex, draw(st.integers(min_value=n, max_value=n + 3)))
+        if draw(st.booleans()):
+            bad = bad[::-1]
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), bad)
+    return n, [list(e) if draw(st.booleans()) else e for e in edges]
+
+
+def _build_or_error(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestFromEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_inputs(), st.booleans())
+    def test_matches_reference(self, case, as_generator):
+        n, edges = case
+
+        def feed():
+            return (e for e in edges) if as_generator else list(edges)
+
+        got = _build_or_error(Graph.from_edges, n, feed())
+        assert got == _build_or_error(reference_from_edges, n, feed())
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (3, 3), (0, 5), (1, 0)],  # first error is the loop
+            [(0, 1), (0, 5), (1, 0)],  # then the range
+            [(2, 1), (0, 1), [1, 2]],  # a list-valued duplicate
+            [(1, 1), (0, 1, 2)],  # a loop before a malformed pair
+            [(0, 1, 2), (1, 1)],  # a malformed pair first
+            [[0, 1], [2, 1]],  # valid, list-valued
+        ],
+    )
+    def test_first_error_in_input_order(self, edges):
+        ref = _build_or_error(reference_from_edges, 4, iter(edges))
+        assert _build_or_error(Graph.from_edges, 4, iter(edges)) == ref
+
+    def test_ordered_tuples_reused(self):
+        edges = [(0, 1), (2, 1)]
+        g = Graph.from_edges(3, edges)
+        assert g.edges == ((0, 1), (1, 2)) and g.edges[0] is edges[0]
 
 
 class TestInfiniteSentinel:
@@ -167,6 +235,29 @@ class TestSmallestSharedPair:
         ):
             got = graph_mod._smallest_shared_pair(g)
         assert got == brute_smallest_shared_pair(g)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # (4, 5) shares 0 and 1, both below 4; the answer is (0, 1)
+            (6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 3), (3, 4)]),
+            # the only C4 is 8-10-9-11, below it a tree over 0..7
+            (12, [(i, i + 1) for i in range(8)] + [(0, 5), (3, 9)]
+             + [(8, 10), (8, 11), (9, 10), (9, 11)]),
+            # the only C4 is 5-7-6-8, hanging from lower vertices
+            (9, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 7),
+                 (5, 7), (5, 8), (6, 7), (6, 8)]),
+        ],
+        ids=["common-neighbor-below", "high-minimum", "high-minimum-pendant"],
+    )
+    def test_walks_from_the_minimum_vertex(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        expected = brute_smallest_shared_pair(g)
+        assert expected is not None
+        with mock.patch.object(graph_mod, "_PAIR_WALKS", 1), mock.patch.object(
+            graph_mod, "_PAIR_SLOTS", 1
+        ):
+            assert graph_mod._smallest_shared_pair(g) == expected
 
     def test_c4_free_host_and_complete_bipartite(self):
         assert graph_mod._smallest_shared_pair(petersen()) is None

@@ -1,7 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
-from girthforge.graph import ForbiddenFamily, INFINITE, check_family_free, girth
+import girthforge
+from girthforge import hosts as hosts_mod
+from girthforge.graph import (
+    CertificationError,
+    ForbiddenFamily,
+    Graph,
+    INFINITE,
+    bipartition,
+    check_family_free,
+    girth,
+)
 from girthforge.hosts import (
     HostGraph,
     bipartite_trim,
@@ -19,7 +35,7 @@ from girthforge.hosts import (
     smallest_prime_with_plane_order,
     star,
 )
-from bruteforce import brute_girth, projective_degree_counts
+from bruteforce import brute_girth, brute_orthogonal_pairs, projective_degree_counts
 from conftest import small_graphs
 
 
@@ -80,6 +96,81 @@ class TestIncidenceGraph:
         a, b = host.parts
         sa = set(a)
         assert all((u in sa) != (v in sa) for u, v in host.graph.edges)
+
+
+class TestOrthogonalPairs:
+    @pytest.mark.parametrize("q", [p for p in range(32) if is_prime(p)] + [67])
+    def test_closed_form_matches_dot_products(self, q):
+        rows, cols = hosts_mod._pg2_orthogonal_pairs(q)
+        assert (rows.tolist(), cols.tolist()) == brute_orthogonal_pairs(q)
+
+
+class TestIncidenceCertificate:
+    def test_rejects_edge_inside_a_part(self):
+        host = incidence_graph_pg2(2)
+        graph = Graph.from_edges(host.order, list(host.graph.edges) + [(0, 1)])
+        with pytest.raises(CertificationError, match="inside one part"):
+            hosts_mod._bipartite_girth_six(graph, host.parts)
+
+    def test_rejects_parts_that_miss_a_vertex(self):
+        host = incidence_graph_pg2(2)
+        a, b = host.parts
+        with pytest.raises(CertificationError, match="partition"):
+            hosts_mod._bipartite_girth_six(host.graph, (a, b[:-1]))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(i, (i + 1) % 8) for i in range(8)],  # C8
+            [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)],  # a tree
+            # K_{2,3}: the construction meets the same point twice, and the
+            # witness check rejects it
+            [(i, 2 + j) for i in range(2) for j in range(3)],
+        ],
+        ids=["C8", "tree", "K23"],
+    )
+    def test_no_six_cycle_raises(self, edges):
+        graph = Graph.from_edges(1 + max(max(e) for e in edges), edges)
+        with pytest.raises(CertificationError):
+            hosts_mod._bipartite_girth_six(graph, bipartition(graph))
+
+    def test_dropped_pair_rejected(self):
+        real = hosts_mod._pg2_orthogonal_pairs
+
+        def drop_one(q):
+            rows, cols = real(q)
+            return rows[1:], cols[1:]
+
+        incidence_graph_pg2.cache_clear()
+        try:
+            with mock.patch.object(hosts_mod, "_pg2_orthogonal_pairs", drop_one):
+                with pytest.raises(CertificationError):
+                    incidence_graph_pg2(5)
+        finally:
+            incidence_graph_pg2.cache_clear()
+
+    def test_pg67_build_peak_rss(self):
+        # Peak RSS of a fresh process that builds the degree-sparse host.
+        # A child's ru_maxrss also counts the RSS of the process it was
+        # forked from, so the build runs under a small launcher process,
+        # which reports the builder's own rusage from wait4.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "build = 'from girthforge.hosts import incidence_graph_pg2; "
+            "incidence_graph_pg2(67)'\n"
+            "proc = subprocess.Popen([sys.executable, '-c', build])\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(girthforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", launcher], env=env, capture_output=True,
+            text=True, check=True, timeout=300,
+        ).stdout
+        code, maxrss_kib = map(int, out.split())  # ru_maxrss is in KiB on Linux
+        assert code == 0
+        assert maxrss_kib / 1024 < 400
 
 
 class TestGreedyHighGirth:
