@@ -153,7 +153,7 @@ class TestIncidenceCertificate:
         # Peak RSS of a fresh process that builds the degree-sparse host.
         # A child's ru_maxrss also counts the RSS of the process it was
         # forked from, so the build runs under a small launcher process,
-        # which reports the builder's own rusage from wait4.
+        # which reports the build process's own rusage from wait4.
         launcher = (
             "import os, subprocess, sys\n"
             "build = 'from girthforge.hosts import incidence_graph_pg2; "
