@@ -3,7 +3,8 @@
 Each digest was recorded at the commit before the code it guards was
 rewritten (the forbidden-cycle engine; the resampler, the C4 certificate
 and the projective hosts; the closed-form host lines and
-``Graph.from_edges``), so any change to a greedy decision, a resampling
+``Graph.from_edges``; the one certification step and the ``sweep`` rows
+that read it), so any change to a greedy decision, a resampling
 step, a witness, a report field or an output file shows up here as a
 digest mismatch.  Inputs are built inside the test from stdlib
 ``random`` so they do not depend on the package's own generators.
@@ -176,4 +177,26 @@ def test_verify_large_c4_witness_digest(tmp_path):
     code, stdout, out = _run(argv, tmp_path / "verify.json")
     assert code == 2
     digest = "a818d21fd060fcda9f7ec682c20b404acde58d1f2a434372543c5b86ac272fc8"
+    assert (_sha(stdout), _sha(out)) == (digest, digest)
+
+
+# mode -> (extra flags, sha256 of stdout, which --out repeats verbatim)
+SWEEP_CASES = {
+    "f": (
+        ["--n", "10:16:2", "--trials", "2"],
+        "5dfae2ce2bbaa19343df8746a894ed48e70ad0eefd6369aceaa38358b8258fd3",
+    ),
+    "h": (
+        ["--n", "8:14:2", "--trials", "1"],
+        "7b413399ed8a5c4fe9a85c16170b1a2c49e3ffe69fcd9e490d6564e70f350513",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_CASES))
+def test_sweep_digests(mode, tmp_path):
+    flags, digest = SWEEP_CASES[mode]
+    argv = ["sweep", "--mode", mode, "--seed", "5"] + flags
+    code, stdout, out = _run(argv, tmp_path / "sweep.csv")
+    assert code == 0
     assert (_sha(stdout), _sha(out)) == (digest, digest)
