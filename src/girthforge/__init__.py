@@ -9,6 +9,7 @@ from .graph import (
     INFINITE,
     Verdict,
     VertexColoring,
+    certify,
     check_family_free,
     find_short_even_cycle,
     girth,
@@ -37,6 +38,7 @@ __all__ = [
     "Partition",
     "Verdict",
     "VertexColoring",
+    "certify",
     "check_family_free",
     "cherry_check",
     "exact_ex",

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (
-    CertificationError,
     ForbiddenFamily,
+    GirthValue,
     Graph,
     VertexColoring,
+    certify,
     check_family_free,
     edge_subgraph,
-    girth,
 )
 from .edge_extract import h_prime, spanning_forest
 from .hosts import (
@@ -288,15 +288,14 @@ def extract_spanning_high_girth(
     fam = ForbiddenFamily.all_cycles_up_to(2 * r + 1)
     delta_max = g.max_degree()
 
-    candidates: list[tuple[int, int, int, Graph, dict]] = []
+    # (min degree, edges, -order, graph, meta, certified girth)
+    candidates: list[tuple[int, int, int, Graph, dict, GirthValue]] = []
     order = 0
 
     def add(graph: Graph, meta: dict) -> None:
         nonlocal order
-        verdict = check_family_free(graph, fam)
-        if not verdict.free:
-            raise CertificationError("candidate failed girth certification")
-        candidates.append((graph.min_degree(), graph.m, -order, graph, meta))
+        value = certify(graph, fam, f"{meta['method']} candidate")
+        candidates.append((graph.min_degree(), graph.m, -order, graph, meta, value))
         order += 1
 
     if check_family_free(g, fam).free:
@@ -351,12 +350,9 @@ def extract_spanning_high_girth(
                 },
             )
 
-    min_deg, edges_m, neg_order, best, meta = max(
-        candidates, key=lambda c: (c[0], c[1], c[2])
+    min_deg, edges_m, neg_order, best, meta, best_girth = max(
+        candidates, key=lambda c: c[:3]
     )
-    final = check_family_free(best, fam)
-    if not final.free:
-        raise CertificationError("selected output failed final certification")
     extras = {
         "degraded": meta["degraded"],
         "rounds_used": meta["rounds_used"],
@@ -370,11 +366,10 @@ def extract_spanning_high_girth(
         r=r,
         trials=trials,
         seed=seed,
-        output_edges=best.m,
-        output_min_degree=best.min_degree(),
-        output_girth=girth(best),
+        output_edges=edges_m,
+        output_min_degree=min_deg,
+        output_girth=best_girth,
         family=fam,
-        certificate_status="pass",
         extras=extras,
     )
     return best, report

@@ -22,15 +22,16 @@ from .graph import (
     ForbiddenFamily,
     Graph,
     VertexColoring,
+    certify,
     check_family_free,
     closes_forbidden_cycle,
     edge_subgraph,
-    girth,
 )
 from .hosts import (
     GREEDY_ORDER_CAP,
     HostGraph,
     bipartite_trim,
+    certify_host,
     greedy_high_girth,
     incidence_graph_pg2,
     polarity_graph,
@@ -101,26 +102,26 @@ def split_and_bucket(g: Graph) -> DegreeSplit:
 # ---------------------------------------------------------------------------
 
 
-def h_prime(g: Graph, chi: VertexColoring, host: HostGraph) -> Graph:
-    """Spanning subgraph keeping edges whose color pair is a host edge."""
+def _labeling(g: Graph, chi: VertexColoring, host: HostGraph):
+    """The colors of ``chi`` and the host's neighbor sets, once the
+    coloring is checked to label ``g`` into ``host``."""
     if len(chi.colors) != g.n:
         raise ValueError("coloring does not cover the vertex set")
     if chi.ell > host.graph.n:
         raise ValueError("coloring uses more colors than the host has vertices")
-    host_adj = host.graph.adjacency_sets
-    colors = chi.colors
+    return chi.colors, host.graph.adjacency_sets
+
+
+def h_prime(g: Graph, chi: VertexColoring, host: HostGraph) -> Graph:
+    """Spanning subgraph keeping edges whose color pair is a host edge."""
+    colors, host_adj = _labeling(g, chi, host)
     return edge_subgraph(g, lambda e: colors[e[1]] in host_adj[colors[e[0]]])
 
 
 def h_star(g: Graph, chi: VertexColoring, host: HostGraph) -> Graph:
     """As h_prime, but an edge survives only if each endpoint is the unique
     neighbor of the other carrying its color (1-frugal along kept edges)."""
-    if len(chi.colors) != g.n:
-        raise ValueError("coloring does not cover the vertex set")
-    if chi.ell > host.graph.n:
-        raise ValueError("coloring uses more colors than the host has vertices")
-    host_adj = host.graph.adjacency_sets
-    colors = chi.colors
+    colors, host_adj = _labeling(g, chi, host)
     seen_counts = [Counter(colors[w] for w in g.adjacency[v]) for v in range(g.n)]
 
     def keep(e):
@@ -178,17 +179,8 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
         candidates.append((trimmed, (pa, pb), f"cover-trim(n={side})"))
 
     graph, parts, name = max(candidates, key=lambda c: (c[0].m, c[2] == "star-host"))
-    verdict = check_family_free(graph, fam)
-    if not verdict.free:
-        raise CertificationError(f"case-1 host {name} failed {fam.describe()}")
-    return HostGraph(
-        graph=graph,
-        certified_family=fam,
-        certified_girth=girth(graph),
-        min_degree=graph.min_degree(),
-        label=f"case1:{name}(k={k},b={b},r={r})",
-        parts=parts,
-    )
+    label = f"case1:{name}(k={k},b={b},r={r})"
+    return certify_host(graph, fam, label=label, parts=parts)
 
 
 def case1_extract(
@@ -248,9 +240,9 @@ def case1_extract(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _case2_base_host(target: int, r: int) -> HostGraph:
-    """Even-cycle-free base host on roughly ``target`` vertices."""
+    """Even-cycle-free base host on roughly ``target`` vertices; both
+    constructors cache their hosts."""
     if r == 2:
         q = smallest_prime_with_plane_order(target)
         return polarity_graph(q)
@@ -278,15 +270,9 @@ def case2_extract(
     target = math.isqrt(4 * m - 1) + 1  # ceil(2*sqrt(m))
     base = _case2_base_host(target, r)
     _, bip = max_kpartite(base.graph, 3, mix(seed, _SALT_PARTITION))
-    fam = ForbiddenFamily.all_cycles_up_to(2 * r + 1)
-    verdict = check_family_free(bip, fam)
-    if not verdict.free:
-        raise CertificationError("bipartized case-2 host failed certification")
-    host = HostGraph(
-        graph=bip,
-        certified_family=fam,
-        certified_girth=girth(bip),
-        min_degree=bip.min_degree(),
+    host = certify_host(
+        bip,
+        ForbiddenFamily.all_cycles_up_to(2 * r + 1),
         label=f"case2:{base.label}|bipartized",
     )
     rng = random.Random(mix(seed, _SALT_COLORING))
@@ -433,9 +419,7 @@ def extract_even_cycle_free(
         add(gout, "greedy")
 
     best_m, neg_order, best, method = max(candidates)
-    final_verdict = check_family_free(best, fam)
-    if not final_verdict.free:
-        raise CertificationError("selected output failed final certification")
+    best_girth = certify(best, fam, f"selected {method} output")
     report = ExtractionReport(
         input_n=g.n,
         input_m=g.m,
@@ -445,9 +429,8 @@ def extract_even_cycle_free(
         seed=seed,
         output_edges=best.m,
         output_min_degree=best.min_degree(),
-        output_girth=girth(best),
+        output_girth=best_girth,
         family=fam,
-        certificate_status="pass",
         extras={
             "odd_free": odd_free,
             "trial_mean_edges": (

@@ -1,9 +1,12 @@
 """Immutable simple-graph core: construction, girth, short-cycle certification.
 
-Every other module builds on :class:`Graph` and uses
-:func:`check_family_free` as the independent certifier for its outputs.
-:func:`closes_forbidden_cycle` is the per-edge test that every greedy
-builder uses to decide which edges to keep.
+Every other module builds on :class:`Graph`.  :func:`certify` is the one
+certification step for hosts and outputs: it raises unless a graph is
+free of a forbidden family and returns its exact girth.
+:func:`check_family_free` answers the yes/no question for graphs that may
+fail, stopping at the first witness.  :func:`closes_forbidden_cycle` is
+the per-edge test that every greedy builder uses to decide which edges to
+keep.
 """
 
 from __future__ import annotations
@@ -407,14 +410,20 @@ def _component_count(g: Graph) -> int:
     return count
 
 
+def _is_forest(g: Graph) -> bool:
+    """O(n + m): a graph is a forest exactly when m = n minus the number of
+    components (m is never smaller)."""
+    return g.m <= g.n - _component_count(g)
+
+
 def girth_with_witness(g: Graph) -> tuple[GirthValue, Optional[CycleWitness]]:
     """Exact girth with a shortest-cycle witness (BFS from every vertex).
 
     Per root, BFS is truncated at half the current best bound; the minimum
-    detection over all roots equals the girth.  A forest (m = n minus the
-    number of components) is answered in O(n + m) without the BFS.
+    detection over all roots equals the girth.  A forest is answered in
+    O(n + m) by :func:`_is_forest`, without the BFS.
     """
-    if g.m <= g.n - _component_count(g):
+    if _is_forest(g):
         return INFINITE, None
     best: GirthValue = INFINITE
     best_witness: Optional[CycleWitness] = None
@@ -444,10 +453,13 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
     """Any simple cycle of length <= bound, or None.
 
     Complete: a cycle of length c <= bound is detected from any of its
-    vertices by a BFS truncated at depth ceil(c/2).
+    vertices by a BFS truncated at depth ceil(c/2).  A forest is answered
+    in O(n + m) by :func:`_is_forest`, without the BFS.
     """
     if bound < 3:
         raise ValueError("cycle bound must be >= 3")
+    if _is_forest(g):
+        return None
     cap = (bound + 1) // 2
     for root in range(g.n):
         hit = _bfs_detect(g, root, cap)
@@ -615,8 +627,14 @@ def find_short_even_cycle(g: Graph, bound: int) -> Optional[CycleWitness]:
 
 
 def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
-    """Certify ``g`` against ``fam``; the single verifier used by every
-    extractor and host constructor."""
+    """Whether ``g`` is free of ``fam``, with a validated witness if not.
+
+    The search stops at the first forbidden cycle.  It decides graphs that
+    may fail (the extractors' identity candidates, the input of ``verify``)
+    and checks graphs whose girth is proved otherwise or never read (hosts
+    given a known girth, the edge extractor's case outputs).  Everything
+    else is certified by :func:`certify`, which also returns the girth.
+    """
     if fam.kind == "all":
         witness = find_cycle_up_to(g, fam.bound)
     else:
@@ -630,6 +648,33 @@ def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
             f"{fam.describe()}"
         )
     return Verdict(free=False, witness=witness)
+
+
+def certify(g: Graph, fam: ForbiddenFamily, what: str) -> GirthValue:
+    """Certify that ``g`` is free of ``fam`` and return its exact girth.
+
+    The one certification step for hosts and outputs; raises
+    CertificationError naming ``what`` when ``g`` has a cycle in ``fam``.
+    For ``all:L`` one :func:`girth_with_witness` search gives both answers,
+    since ``g`` is free exactly when its girth exceeds L.  For ``even:2r``
+    :func:`check_family_free` runs first, then :func:`girth`.
+
+    On a graph that fails, a girth search still scans every root (about
+    n d^2 edge visits at girth 4), so a caller that expects failures asks
+    :func:`check_family_free` instead, which stops at the first witness.
+    """
+    if fam.kind == "all":
+        value, witness = girth_with_witness(g)
+        if value > fam.bound:
+            return value
+    else:
+        witness = check_family_free(g, fam).witness
+        if witness is None:
+            return girth(g)
+    raise CertificationError(
+        f"{what} contains a forbidden cycle of length {witness.length} "
+        f"({fam.describe()})"
+    )
 
 
 # ---------------------------------------------------------------------------

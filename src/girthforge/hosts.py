@@ -11,7 +11,7 @@ import functools
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graph import (
@@ -21,6 +21,7 @@ from .graph import (
     ForbiddenFamily,
     Graph,
     GirthValue,
+    certify,
     check_family_free,
     closes_forbidden_cycle,
     find_cycle_up_to,
@@ -68,7 +69,7 @@ class HostGraph:
         return "\n".join(lines) + "\n"
 
 
-def _certify(
+def certify_host(
     graph: Graph,
     family: Optional[ForbiddenFamily],
     label: str,
@@ -76,15 +77,23 @@ def _certify(
     degraded: bool = False,
     known_girth: Optional[GirthValue] = None,
 ) -> HostGraph:
-    """Verify the certificate and assemble a HostGraph; raises on failure."""
-    if family is not None:
-        verdict = check_family_free(graph, family)
-        if not verdict.free:
-            raise CertificationError(
-                f"host {label!r} contains a forbidden cycle of length "
-                f"{verdict.witness.length}"
-            )
-    g_val = known_girth if known_girth is not None else girth(graph)
+    """Certify ``graph`` and assemble its HostGraph; raises
+    CertificationError on failure.
+
+    The only place a host is certified.  The family check and the girth
+    come from one :func:`graph.certify` call (or :func:`girth` alone when
+    nothing is forbidden).  A construction that proves its girth by other
+    means passes ``known_girth``, and only the family is checked.
+    """
+    what = f"host {label!r}"
+    if known_girth is not None:
+        if family is not None and not check_family_free(graph, family).free:
+            raise CertificationError(f"{what} contains a cycle of {family.describe()}")
+        g_val = known_girth
+    elif family is not None:
+        g_val = certify(graph, family, what)
+    else:
+        g_val = girth(graph)
     return HostGraph(
         graph=graph,
         certified_family=family,
@@ -179,7 +188,7 @@ def polarity_graph(q: int) -> HostGraph:
     rows, cols = _pg2_orthogonal_pairs(q)
     upper = rows < cols
     graph = Graph.from_edges(n, zip(rows[upper].tolist(), cols[upper].tolist()))
-    host = _certify(
+    host = certify_host(
         graph,
         ForbiddenFamily.even_cycles_up_to(4),
         label=f"polarity(q={q})",
@@ -199,7 +208,7 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     Point i is joined to line n + j (n = q^2+q+1, lines dual to points)
     when x_i . x_j == 0 (mod q).  The exact girth is certified without a
     girth scan: every edge is checked to join the two parts, the one C4
-    check (the even:4 certificate in :func:`_certify`) rules out 4-cycles,
+    check (the even:4 family in :func:`certify_host`) rules out 4-cycles,
     and an exhibited 6-cycle pins the girth at 6.
     """
     if not is_prime(q):
@@ -213,14 +222,13 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     for v in range(2 * n):
         if graph.degree(v) != q + 1:
             raise CertificationError(f"incidence(q={q}): vertex {v} not (q+1)-regular")
-    host = _certify(
+    return certify_host(
         graph,
         ForbiddenFamily.even_cycles_up_to(4),
         label=f"incidence_pg2(q={q})",
         parts=parts,
         known_girth=_bipartite_girth_six(graph, parts),
     )
-    return host
 
 
 def _bipartite_girth_six(graph: Graph, parts) -> int:
@@ -235,7 +243,7 @@ def _bipartite_girth_six(graph: Graph, parts) -> int:
     failure raises CertificationError.
 
     C4-freeness is not checked here.  The caller passes the result to
-    :func:`_certify` with the even:4 family, and that check raises before
+    :func:`certify_host` with the even:4 family, and that check raises before
     any host is returned if the graph has a C4.
     """
     sides = [frozenset(part) for part in parts]
@@ -288,10 +296,9 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
             adj[v].add(u)
             edges.append((u, v))
     graph = Graph.from_edges(n, edges)
-    host = _certify(graph, family, label=f"greedy(n={n},girth>={min_girth},seed={seed})")
-    if host.certified_girth < min_girth:
-        raise CertificationError("greedy construction violated its girth target")
-    return host
+    # certifying all:(min_girth - 1) proves girth >= min_girth
+    label = f"greedy(n={n},girth>={min_girth},seed={seed})"
+    return certify_host(graph, family, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +366,7 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
     label = f"dense_subhost(k={k}) of {g_prime.label}"
     if len(keep) == g.n:
         # nothing pruned: the parent's certificate carries over verbatim
-        return HostGraph(
-            graph=g,
-            certified_family=g_prime.certified_family,
-            certified_girth=g_prime.certified_girth,
-            min_degree=g_prime.min_degree,
-            label=label,
-            parts=g_prime.parts,
-            degraded=degraded,
-        )
+        return replace(g_prime, label=label, degraded=degraded)
     sub, _ = induced_subgraph(g, keep)
     # an induced subgraph cannot gain shorter cycles, so the parent's girth
     # is a lower bound; exhibiting one cycle of that length pins it exactly
@@ -377,14 +376,13 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
         witness = find_cycle_up_to(sub, parent_girth)
         if witness is not None and witness.length == parent_girth:
             known = parent_girth
-    host = _certify(
+    return certify_host(
         sub,
         g_prime.certified_family,
         label=label,
         degraded=degraded,
         known_girth=known,
     )
-    return host
 
 
 def bipartite_trim(
@@ -462,20 +460,3 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     chosen = rng.sample(range(total), m)
     return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
 
-
-GENERATORS = ("star", "clique_apex", "complete_bipartite", "random_gnm", "complete")
-
-
-def generate(kind: str, **params) -> Graph:
-    """Dispatch by construction name; parameter errors are rejected."""
-    if kind == "star":
-        return star(params["n"])
-    if kind == "clique_apex":
-        return clique_apex(params["delta"], params["Delta"])
-    if kind == "complete_bipartite":
-        return complete_bipartite(params["a"], params["b"])
-    if kind == "random_gnm":
-        return random_gnm(params["n"], params["m"], params["seed"])
-    if kind == "complete":
-        return complete(params["n"])
-    raise ValueError(f"unknown generator kind {kind!r}")

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,9 @@ from girthforge.hosts import (
     incidence_graph_pg2,
     random_gnm,
 )
+from girthforge import degree_extract as degree_mod
+from girthforge import graph as graph_mod
+from girthforge import hosts as hosts_mod
 from girthforge.edge_extract import h_prime
 from girthforge.degree_extract import (
     BadEvent,
@@ -230,9 +234,46 @@ class TestExtractor:
             out, report = extract_spanning_high_girth(g, r, 21, 2)
             gv = girth(out)
             assert gv == INFINITE or gv >= 2 * r + 2
-            assert report.certificate_status == "pass"
+            assert report.to_dict()["certificate"]["status"] == "pass"
             assert out.n == g.n
             assert set(out.edges) <= set(g.edges)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(10),
+            random_gnm(40, 90, 5),
+            Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]),  # C8
+        ],
+        ids=["K10", "gnm", "C8"],
+    )
+    def test_certifies_each_graph_once(self, g):
+        # graphs passed to each step, by object: no graph may reach the
+        # same step twice, whichever module makes the call
+        seen = {"check": [], "certify": []}
+
+        def recorder(step, fn):
+            def wrapped(graph, *args):
+                assert not any(x is graph for x in seen[step]), f"{step} twice"
+                seen[step].append(graph)
+                return fn(graph, *args)
+
+            return wrapped
+
+        check = recorder("check", graph_mod.check_family_free)
+        cert = recorder("certify", graph_mod.certify)
+        trials = 3
+        with mock.patch.object(graph_mod, "check_family_free", check), \
+                mock.patch.object(hosts_mod, "check_family_free", check), \
+                mock.patch.object(degree_mod, "check_family_free", check), \
+                mock.patch.object(hosts_mod, "certify", cert), \
+                mock.patch.object(degree_mod, "certify", cert):
+            out, report = extract_spanning_high_girth(g, 2, 21, trials)
+        assert any(x is out for x in seen["certify"])
+        # one certificate per candidate: identity (when free), forest, trials
+        identity = report.method == "identity"
+        assert identity == (g.m == 8)
+        assert sum(x.n == g.n for x in seen["certify"]) == identity + 1 + trials
 
     def test_forest_floor(self):
         # connected input: any candidate must match the forest's min degree

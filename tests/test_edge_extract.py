@@ -214,7 +214,7 @@ class TestExtractor:
         for g in inputs:
             out, report = extract_even_cycle_free(g, r, 3, 17)
             assert check_family_free(out, fam).free
-            assert report.certificate_status == "pass"
+            assert report.to_dict()["certificate"]["status"] == "pass"
             assert out.n == g.n
             assert set(out.edges) <= set(g.edges)
 

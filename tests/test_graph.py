@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from girthforge.graph import (
+    CertificationError,
     EdgeListParseError,
     ForbiddenFamily,
     Graph,
     INFINITE,
     VertexColoring,
     bipartition,
+    certify,
     check_family_free,
     closes_forbidden_cycle,
     edge_subgraph,
@@ -203,6 +205,31 @@ class TestGirth:
         assert brute_girth(g) is None
         assert girth_with_witness(g) == (INFINITE, None)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        isolated=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bound=st.integers(min_value=3, max_value=9),
+    )
+    def test_bounded_search_skips_bfs_on_forests(self, n, isolated, seed, bound):
+        rng = random.Random(seed)
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        g = Graph.from_edges(n + isolated, edges)
+        with mock.patch.object(graph_mod, "_bfs_detect", side_effect=AssertionError):
+            assert find_cycle_up_to(g, bound) is None
+
+    def test_bounded_search_still_runs_on_one_cycle(self):
+        # one extra edge on a forest: m = n - components + 1
+        edges = [(i, i + 1) for i in range(30)] + [(10, 16), (40, 41)]
+        g = Graph.from_edges(42, edges)
+        with mock.patch.object(
+            graph_mod, "_bfs_detect", wraps=graph_mod._bfs_detect
+        ) as bfs:
+            assert find_cycle_up_to(g, 6) is None
+            assert find_cycle_up_to(g, 7).length == 7
+        assert bfs.call_count > 0
+
     def test_isolated_vertices_only(self):
         assert girth_with_witness(Graph.from_edges(7, [])) == (INFINITE, None)
         assert girth_with_witness(Graph.from_edges(0, [])) == (INFINITE, None)
@@ -342,6 +369,36 @@ class TestFamily:
 EDGE_TEST_FAMILIES = [ForbiddenFamily("even", b) for b in (4, 6, 8, 10)] + [
     ForbiddenFamily("all", b) for b in range(3, 10)
 ]
+
+
+
+class TestCertify:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_matches_bruteforce(self, g):
+        expected_girth = brute_girth(g)
+        for fam in EDGE_TEST_FAMILIES:
+            if has_forbidden(g, fam.kind, fam.bound):
+                with pytest.raises(CertificationError, match="subject"):
+                    certify(g, fam, "subject")
+            elif expected_girth is None:
+                assert certify(g, fam, "subject") == INFINITE
+            else:
+                assert certify(g, fam, "subject") == expected_girth
+
+    def test_all_family_runs_one_girth_search(self):
+        # the family check and the girth come from the same search
+        with mock.patch.object(
+            graph_mod, "girth_with_witness", wraps=graph_mod.girth_with_witness
+        ) as search, mock.patch.object(
+            graph_mod, "find_cycle_up_to", side_effect=AssertionError
+        ):
+            assert certify(petersen(), ForbiddenFamily("all", 4), "petersen") == 5
+        assert search.call_count == 1
+
+    def test_names_the_subject_and_the_witness(self):
+        with pytest.raises(CertificationError, match=r"C6 .* length 6 \(even:6\)"):
+            certify(cycle_graph(6), ForbiddenFamily("even", 6), "C6")
 
 
 def _adjacency_sets(g):

@@ -25,7 +25,6 @@ from girthforge.hosts import (
     complete,
     complete_bipartite,
     dense_subhost,
-    generate,
     greedy_high_girth,
     incidence_graph_pg2,
     is_prime,
@@ -262,8 +261,3 @@ class TestGenerators:
     def test_random_gnm_rejects_overfull(self):
         with pytest.raises(ValueError):
             random_gnm(4, 7, 0)
-
-    def test_generate_dispatch(self):
-        assert generate("complete", n=4).m == 6
-        with pytest.raises((KeyError, ValueError)):
-            generate("nonsense")
