@@ -629,11 +629,9 @@ def find_short_even_cycle(g: Graph, bound: int) -> Optional[CycleWitness]:
 def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
     """Whether ``g`` is free of ``fam``, with a validated witness if not.
 
-    The search stops at the first forbidden cycle.  It decides graphs that
-    may fail (the extractors' identity candidates, the input of ``verify``)
-    and checks graphs whose girth is proved otherwise or never read (hosts
-    given a known girth, the edge extractor's case outputs).  Everything
-    else is certified by :func:`certify`, which also returns the girth.
+    The search stops at the first forbidden cycle, so this is the test for
+    graphs that may fail and for graphs whose girth is not needed.
+    :func:`certify` checks a graph and returns its girth in one step.
     """
     if fam.kind == "all":
         witness = find_cycle_up_to(g, fam.bound)
