@@ -11,6 +11,7 @@ from .graph import (
     VertexColoring,
     certify,
     check_family_free,
+    family_girth,
     find_short_even_cycle,
     girth,
     girth_with_witness,
@@ -44,6 +45,7 @@ __all__ = [
     "exact_ex",
     "extract_even_cycle_free",
     "extract_spanning_high_girth",
+    "family_girth",
     "find_short_even_cycle",
     "girth",
     "girth_with_witness",

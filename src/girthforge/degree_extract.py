@@ -21,8 +21,8 @@ from .graph import (
     Graph,
     VertexColoring,
     certify,
-    check_family_free,
     edge_subgraph,
+    family_girth,
 )
 from .edge_extract import h_prime, spanning_forest
 from .hosts import (
@@ -288,18 +288,17 @@ def extract_spanning_high_girth(
     fam = ForbiddenFamily.all_cycles_up_to(2 * r + 1)
     delta_max = g.max_degree()
 
-    # (min degree, edges, -order, graph, meta, certified girth)
-    candidates: list[tuple[int, int, int, Graph, dict, GirthValue]] = []
-    order = 0
+    # (min degree, edges, graph, meta, certified girth)
+    candidates: list[tuple[int, int, Graph, dict, GirthValue]] = []
 
     def add(graph: Graph, meta: dict) -> None:
-        nonlocal order
         value = certify(graph, fam, f"{meta['method']} candidate")
-        candidates.append((graph.min_degree(), graph.m, -order, graph, meta, value))
-        order += 1
+        candidates.append((graph.min_degree(), graph.m, graph, meta, value))
 
-    if check_family_free(g, fam).free:
-        add(g, {"method": "identity", "degraded": False, "rounds_used": 0})
+    value, witness = family_girth(g, fam)
+    if witness is None:
+        meta = {"method": "identity", "degraded": False, "rounds_used": 0}
+        candidates.append((g.min_degree(), g.m, g, meta, value))
     add(
         spanning_forest(g),
         {"method": "forest", "degraded": False, "rounds_used": 0},
@@ -350,9 +349,8 @@ def extract_spanning_high_girth(
                 },
             )
 
-    min_deg, edges_m, neg_order, best, meta, best_girth = max(
-        candidates, key=lambda c: c[:3]
-    )
+    # max keeps the earliest of equal candidates
+    min_deg, edges_m, best, meta, best_girth = max(candidates, key=lambda c: c[:2])
     extras = {
         "degraded": meta["degraded"],
         "rounds_used": meta["rounds_used"],

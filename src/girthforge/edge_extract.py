@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (
-    CertificationError,
     ForbiddenFamily,
+    GirthValue,
     Graph,
     VertexColoring,
     certify,
-    check_family_free,
     closes_forbidden_cycle,
     edge_subgraph,
+    family_girth,
 )
 from .hosts import (
     GREEDY_ORDER_CAP,
@@ -147,7 +147,8 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     Best by edge count of: the star host (one part-A center joined to all
     of B); for r = 2 a doubly trimmed projective incidence graph; for
     r >= 3 a doubly trimmed bipartite double cover of a greedy high-girth
-    graph (skipped when the needed side exceeds the greedy cap).
+    graph (skipped when the needed side is below the girth 2r + 1 or above
+    the greedy cap).
     """
     fam = ForbiddenFamily.even_cycles_up_to(2 * r)
     candidates: list[tuple[Graph, tuple, str]] = []
@@ -167,7 +168,7 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
             # trim the second side too: swap parts and keep the top b
             trimmed, (pb, pa) = bipartite_trim(trimmed, (parts[1], parts[0]), b)
             candidates.append((trimmed, (pa, pb), f"incidence-trim(q={q})"))
-    elif r >= 3 and side <= _COVER_SIDE_CAP:
+    elif r >= 3 and 2 * r + 1 <= side <= _COVER_SIDE_CAP:
         base = greedy_high_girth(side, 2 * r + 1, 0).graph
         cover_edges = [
             (u, side + v) for u, v in base.edges
@@ -373,25 +374,18 @@ def extract_even_cycle_free(
         fam = ForbiddenFamily.even_cycles_up_to(2 * r)
         work = g
 
-    candidates: list[tuple[int, int, Graph, str]] = []  # (edges, -order, graph, method)
-    order = 0
-
-    def add(graph: Graph, method: str) -> None:
-        nonlocal order
-        candidates.append((graph.m, -order, graph, method))
-        order += 1
-
-    if check_family_free(work, fam).free:
-        add(work, "identity")
-    add(spanning_forest(work), "forest")
-    add(star_fallback(work), "star")
-    add(matching_fallback(work), "matching")
+    # (graph, method, certified girth or None when not yet certified)
+    candidates: list[tuple[Graph, str, Optional[GirthValue]]] = []
+    value, witness = family_girth(work, fam)
+    if witness is None:
+        candidates.append((work, "identity", value))
+    candidates.append((spanning_forest(work), "forest", None))
+    candidates.append((star_fallback(work), "star", None))
+    candidates.append((matching_fallback(work), "matching", None))
 
     trial_edge_counts = []
     for t in range(trials):
         trial_seed = mix(seed, t)
-        method = None
-        out = None
         if work.m >= 1:
             split = split_and_bucket(work)
             if 4 * split.edges_v1_v2 >= work.m and split.chosen_q is not None:
@@ -407,19 +401,15 @@ def extract_even_cycle_free(
                 )
                 out = case2_extract(g2, r, trial_seed, edge_budget=work.m)
                 method = "case2"
-            verdict = check_family_free(out, fam)
-            if not verdict.free:
-                raise CertificationError(
-                    f"{method} output failed certification "
-                    f"(witness length {verdict.witness.length})"
-                )
-            add(out, method)
+            candidates.append((out, method, certify(out, fam, f"{method} output")))
             trial_edge_counts.append(out.m)
         gout = greedy_family_free(work, fam, mix(trial_seed, _SALT_GREEDY))
-        add(gout, "greedy")
+        candidates.append((gout, "greedy", None))
 
-    best_m, neg_order, best, method = max(candidates)
-    best_girth = certify(best, fam, f"selected {method} output")
+    # max keeps the earliest of equal candidates
+    best, method, best_girth = max(candidates, key=lambda c: c[0].m)
+    if best_girth is None:
+        best_girth = certify(best, fam, f"selected {method} output")
     report = ExtractionReport(
         input_n=g.n,
         input_m=g.m,

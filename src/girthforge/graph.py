@@ -1,10 +1,11 @@
 """Immutable simple-graph core: construction, girth, short-cycle certification.
 
-Every other module builds on :class:`Graph`.  :func:`certify` is the one
-certification step for hosts and outputs: it raises unless a graph is
-free of a forbidden family and returns its exact girth.
-:func:`check_family_free` answers the yes/no question for graphs that may
-fail, stopping at the first witness.  :func:`closes_forbidden_cycle` is
+Every other module builds on :class:`Graph`.  :func:`family_girth` is the
+one search behind every certificate: it tells whether a graph is free of
+a forbidden family, with its exact girth when it is and a witness when it
+is not.  :func:`certify` is its raising form, the certification step for
+hosts and outputs.  :func:`check_family_free` answers the yes/no question
+alone, stopping at the first witness.  :func:`closes_forbidden_cycle` is
 the per-edge test that every greedy builder uses to decide which edges to
 keep.
 """
@@ -416,12 +417,20 @@ def _is_forest(g: Graph) -> bool:
     return g.m <= g.n - _component_count(g)
 
 
-def girth_with_witness(g: Graph) -> tuple[GirthValue, Optional[CycleWitness]]:
-    """Exact girth with a shortest-cycle witness (BFS from every vertex).
+def girth_with_witness(
+    g: Graph, stop_at: int = 3
+) -> tuple[GirthValue, Optional[CycleWitness]]:
+    """Girth with a shortest-cycle witness (BFS from every vertex).
 
     Per root, BFS is truncated at half the current best bound; the minimum
     detection over all roots equals the girth.  A forest is answered in
     O(n + m) by :func:`_is_forest`, without the BFS.
+
+    The scan stops once a cycle of length <= ``stop_at`` is found.  With
+    the default 3 nothing shorter exists, so the girth is always exact.
+    With ``stop_at`` = L a result above L is the exact girth, and a result
+    of at most L is the length of the witness, a cycle of that length,
+    which need not be a shortest one.
     """
     if _is_forest(g):
         return INFINITE, None
@@ -439,7 +448,7 @@ def girth_with_witness(g: Graph) -> tuple[GirthValue, Optional[CycleWitness]]:
             # The trimmed cycle can only be shorter than the detection value.
             best = min(value, witness.length)
             best_witness = witness
-        if best == 3:
+        if best <= stop_at:
             break
     return best, best_witness
 
@@ -629,9 +638,9 @@ def find_short_even_cycle(g: Graph, bound: int) -> Optional[CycleWitness]:
 def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
     """Whether ``g`` is free of ``fam``, with a validated witness if not.
 
-    The search stops at the first forbidden cycle, so this is the test for
-    graphs that may fail and for graphs whose girth is not needed.
-    :func:`certify` checks a graph and returns its girth in one step.
+    The search stops at the first forbidden cycle and computes no girth.
+    It is the test behind ``verify``, and the first half of
+    :func:`family_girth` for ``even:2r``.
     """
     if fam.kind == "all":
         witness = find_cycle_up_to(g, fam.bound)
@@ -648,27 +657,40 @@ def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
     return Verdict(free=False, witness=witness)
 
 
-def certify(g: Graph, fam: ForbiddenFamily, what: str) -> GirthValue:
-    """Certify that ``g`` is free of ``fam`` and return its exact girth.
+def family_girth(
+    g: Graph, fam: ForbiddenFamily
+) -> tuple[Optional[GirthValue], Optional[CycleWitness]]:
+    """``(girth, None)`` when ``g`` is free of ``fam``, else ``(None,
+    witness)`` with a validated witness in ``fam``.
 
-    The one certification step for hosts and outputs; raises
-    CertificationError naming ``what`` when ``g`` has a cycle in ``fam``.
-    For ``all:L`` one :func:`girth_with_witness` search gives both answers,
-    since ``g`` is free exactly when its girth exceeds L.  For ``even:2r``
-    :func:`check_family_free` runs first, then :func:`girth`.
-
-    On a graph that fails, a girth search still scans every root (about
-    n d^2 edge visits at girth 4), so a caller that expects failures asks
-    :func:`check_family_free` instead, which stops at the first witness.
+    One search gives both answers.  For ``all:L`` it is one
+    :func:`girth_with_witness` search that stops at the first cycle of
+    length <= L: ``g`` is free exactly when its girth exceeds L, and a
+    graph that fails costs no more than the roots up to that cycle.  For
+    ``even:2r`` :func:`check_family_free` runs first, then :func:`girth`
+    on a free graph.
     """
     if fam.kind == "all":
-        value, witness = girth_with_witness(g)
+        value, witness = girth_with_witness(g, stop_at=fam.bound)
         if value > fam.bound:
-            return value
+            return value, None
     else:
         witness = check_family_free(g, fam).witness
         if witness is None:
-            return girth(g)
+            return girth(g), None
+    return None, witness
+
+
+def certify(g: Graph, fam: ForbiddenFamily, what: str) -> GirthValue:
+    """Certify that ``g`` is free of ``fam`` and return its exact girth.
+
+    The raising form of :func:`family_girth`, and the certification step
+    for hosts and outputs: raises CertificationError naming ``what`` when
+    ``g`` has a cycle in ``fam``.
+    """
+    value, witness = family_girth(g, fam)
+    if witness is None:
+        return value
     raise CertificationError(
         f"{what} contains a forbidden cycle of length {witness.length} "
         f"({fam.describe()})"

@@ -24,7 +24,6 @@ from .graph import (
     certify,
     check_family_free,
     closes_forbidden_cycle,
-    find_cycle_up_to,
     girth,
     induced_subgraph,
     pair_from_index,
@@ -302,31 +301,8 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
 
 
 # ---------------------------------------------------------------------------
-# pruning and trimming
+# dense sub-hosts and trimming
 # ---------------------------------------------------------------------------
-
-
-def prune_min_degree(g: Graph, q: int) -> Graph:
-    """The q-core: maximal induced subgraph with min degree >= q (possibly
-    empty); independent of removal order."""
-    if q < 0:
-        raise ValueError("threshold must be >= 0")
-    alive = [True] * g.n
-    deg = list(g.degrees())
-    stack = [v for v in range(g.n) if deg[v] < q]
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in g.adjacency[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < q:
-                    stack.append(w)
-    keep = [v for v in range(g.n) if alive[v]]
-    sub, _ = induced_subgraph(g, keep)
-    return sub
 
 
 def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
@@ -336,6 +312,12 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
     pruning would drop the order to <= k, the last iterate with order > k is
     returned with its achieved min degree and flagged degraded; if the input
     order already exceeds 2k the (possibly pruned) result is flagged too.
+
+    When nothing is pruned the parent's certificate carries over.  A pruned
+    subgraph is certified afresh against the parent's family by one
+    :func:`certify_host` call.  The greedy all:L parents that get pruned
+    are free of that family, and so is every induced subgraph, so the call
+    is one girth search that never stops early.
     """
     if k < 1:
         raise ValueError("target size must be >= 1")
@@ -368,21 +350,7 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
         # nothing pruned: the parent's certificate carries over verbatim
         return replace(g_prime, label=label, degraded=degraded)
     sub, _ = induced_subgraph(g, keep)
-    # an induced subgraph cannot gain shorter cycles, so the parent's girth
-    # is a lower bound; exhibiting one cycle of that length pins it exactly
-    known = None
-    parent_girth = g_prime.certified_girth
-    if isinstance(parent_girth, int):
-        witness = find_cycle_up_to(sub, parent_girth)
-        if witness is not None and witness.length == parent_girth:
-            known = parent_girth
-    return certify_host(
-        sub,
-        g_prime.certified_family,
-        label=label,
-        degraded=degraded,
-        known_girth=known,
-    )
+    return certify_host(sub, g_prime.certified_family, label=label, degraded=degraded)
 
 
 def bipartite_trim(

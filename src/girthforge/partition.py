@@ -23,9 +23,6 @@ class Partition:
         if any(not (0 <= p < self.k - 1) for p in self.parts):
             raise ValueError("part index outside 0..k-2")
 
-    def format_lines(self) -> str:
-        return "\n".join(f"{v} {p}" for v, p in enumerate(self.parts)) + "\n"
-
 
 def max_kpartite(g: Graph, k: int, seed: int) -> tuple[Partition, Graph]:
     """Local-search partition into k-1 parts; returns it with the cross-part

@@ -4,7 +4,7 @@ import pytest
 
 from girthforge.cli import main
 from girthforge.graph import parse_edge_list
-from girthforge.hosts import complete, random_gnm
+from girthforge.hosts import complete, random_gnm, star
 from girthforge.graph import format_edge_list
 
 
@@ -90,6 +90,15 @@ class TestExtract:
         doc = json.loads(out)
         assert code in (0, 3)
         assert doc["certificate"]["status"] == "pass"
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_edges_small_star(self, capsys, tmp_path, r):
+        for leaves in range(4, 2 * r + 1):
+            p = tmp_path / f"star{leaves}.edges"
+            p.write_text(format_edge_list(star(leaves)))
+            code, out = run(capsys, ["extract", "edges", "--r", str(r), "--in", str(p)])
+            assert code == 0
+            assert json.loads(out)["method"] == "identity"
 
     def test_timing_flag_populates(self, capsys, k7_path):
         code, out = run(

@@ -250,7 +250,7 @@ class TestExtractor:
     def test_certifies_each_graph_once(self, g):
         # graphs passed to each step, by object: no graph may reach the
         # same step twice, whichever module makes the call
-        seen = {"check": [], "certify": []}
+        seen = {"check": [], "search": [], "certify": []}
 
         def recorder(step, fn):
             def wrapped(graph, *args):
@@ -261,19 +261,20 @@ class TestExtractor:
             return wrapped
 
         check = recorder("check", graph_mod.check_family_free)
+        search = recorder("search", graph_mod.family_girth)
         cert = recorder("certify", graph_mod.certify)
         trials = 3
         with mock.patch.object(graph_mod, "check_family_free", check), \
                 mock.patch.object(hosts_mod, "check_family_free", check), \
-                mock.patch.object(degree_mod, "check_family_free", check), \
+                mock.patch.object(graph_mod, "family_girth", search), \
+                mock.patch.object(degree_mod, "family_girth", search), \
                 mock.patch.object(hosts_mod, "certify", cert), \
                 mock.patch.object(degree_mod, "certify", cert):
             out, report = extract_spanning_high_girth(g, 2, 21, trials)
-        assert any(x is out for x in seen["certify"])
-        # one certificate per candidate: identity (when free), forest, trials
-        identity = report.method == "identity"
-        assert identity == (g.m == 8)
-        assert sum(x.n == g.n for x in seen["certify"]) == identity + 1 + trials
+        assert any(x is out for x in seen["search"])
+        assert (report.method == "identity") == (g.m == 8)
+        # one search per candidate: the identity decision, forest, trials
+        assert sum(x.n == g.n for x in seen["search"]) == 2 + trials
 
     def test_forest_floor(self):
         # connected input: any candidate must match the forest's min degree

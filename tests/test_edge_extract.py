@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,16 @@ from girthforge.graph import (
     check_family_free,
     girth,
 )
+from girthforge import edge_extract as edge_mod
+from girthforge import graph as graph_mod
+from girthforge import hosts as hosts_mod
 from girthforge.hosts import (
     clique_apex,
     complete,
     complete_bipartite,
     incidence_graph_pg2,
     random_gnm,
+    star,
 )
 from girthforge.edge_extract import (
     case1_extract,
@@ -249,6 +254,53 @@ class TestExtractor:
         g = random_gnm(8, 14, 3)
         out, _ = extract_even_cycle_free(g, 2, 4, 1)
         assert out.m <= exact_ex(g, EVEN4).value
+
+    @pytest.mark.parametrize("odd_free", [False, True], ids=["even", "odd_free"])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(10),
+            random_gnm(40, 90, 5),
+            Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]),  # C8
+            incidence_graph_pg2(3).graph,
+        ],
+        ids=["K10", "gnm", "C8", "PG23"],
+    )
+    def test_certifies_each_graph_once(self, g, odd_free):
+        # graphs passed to each step, by object: no graph may reach the
+        # same step twice, whichever module makes the call
+        seen = {"check": [], "search": [], "certify": []}
+
+        def recorder(step, fn):
+            def wrapped(graph, *args):
+                assert not any(x is graph for x in seen[step]), f"{step} twice"
+                seen[step].append(graph)
+                return fn(graph, *args)
+
+            return wrapped
+
+        check = recorder("check", graph_mod.check_family_free)
+        search = recorder("search", graph_mod.family_girth)
+        cert = recorder("certify", graph_mod.certify)
+        with mock.patch.object(graph_mod, "check_family_free", check), \
+                mock.patch.object(hosts_mod, "check_family_free", check), \
+                mock.patch.object(graph_mod, "family_girth", search), \
+                mock.patch.object(edge_mod, "family_girth", search), \
+                mock.patch.object(hosts_mod, "certify", cert), \
+                mock.patch.object(edge_mod, "certify", cert):
+            out, report = extract_even_cycle_free(g, 2, 3, 13, odd_free=odd_free)
+        # the winner is searched once, when it is made or, for a winner not
+        # certified yet, after it is picked
+        assert sum(x is out for x in seen["search"]) == 1
+        assert report.output_girth == girth(out)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_small_star_is_identity(self, r):
+        # stars too small for the girth-(2r+1) cover host keep the star host
+        for leaves in range(4, 2 * r + 1):
+            out, report = extract_even_cycle_free(star(leaves), r, 2, 0)
+            assert report.method == "identity"
+            assert out.m == leaves
 
     def test_rejects_bad_params(self):
         g = complete(5)

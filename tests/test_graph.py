@@ -17,6 +17,7 @@ from girthforge.graph import (
     check_family_free,
     closes_forbidden_cycle,
     edge_subgraph,
+    family_girth,
     find_cycle_up_to,
     find_short_even_cycle,
     format_edge_list,
@@ -377,13 +378,17 @@ class TestCertify:
     @given(small_graphs())
     def test_matches_bruteforce(self, g):
         expected_girth = brute_girth(g)
+        if expected_girth is None:
+            expected_girth = INFINITE
         for fam in EDGE_TEST_FAMILIES:
+            value, witness = family_girth(g, fam)
             if has_forbidden(g, fam.kind, fam.bound):
+                witness.validate(g)
+                assert fam.matches(witness.length)
                 with pytest.raises(CertificationError, match="subject"):
                     certify(g, fam, "subject")
-            elif expected_girth is None:
-                assert certify(g, fam, "subject") == INFINITE
             else:
+                assert (value, witness) == (expected_girth, None)
                 assert certify(g, fam, "subject") == expected_girth
 
     def test_all_family_runs_one_girth_search(self):
@@ -395,6 +400,17 @@ class TestCertify:
         ):
             assert certify(petersen(), ForbiddenFamily("all", 4), "petersen") == 5
         assert search.call_count == 1
+
+    def test_all_family_stops_at_first_short_cycle(self):
+        # the first root already closes a 4-cycle of K30,30; scanning the
+        # other 59 roots could only find more
+        k30 = Graph.from_edges(60, [(i, 30 + j) for i in range(30) for j in range(30)])
+        with mock.patch.object(
+            graph_mod, "_bfs_detect", wraps=graph_mod._bfs_detect
+        ) as bfs:
+            with pytest.raises(CertificationError, match="length 4"):
+                certify(k30, ForbiddenFamily("all", 5), "K30,30")
+        assert bfs.call_count <= 2
 
     def test_names_the_subject_and_the_witness(self):
         with pytest.raises(CertificationError, match=r"C6 .* length 6 \(even:6\)"):

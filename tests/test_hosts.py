@@ -5,7 +5,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
 
 import girthforge
 from girthforge import hosts as hosts_mod
@@ -29,13 +28,11 @@ from girthforge.hosts import (
     incidence_graph_pg2,
     is_prime,
     polarity_graph,
-    prune_min_degree,
     random_gnm,
     smallest_prime_with_plane_order,
     star,
 )
 from bruteforce import brute_girth, brute_orthogonal_pairs, projective_degree_counts
-from conftest import small_graphs
 
 
 class TestPrimes:
@@ -196,28 +193,25 @@ class TestGreedyHighGirth:
 
 
 class TestPruneAndDense:
-    def test_prune_is_qcore(self):
-        # path plus a triangle: 2-core is exactly the triangle
-        from girthforge.graph import Graph
-
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
-        core = prune_min_degree(g, 2)
-        assert core.n == 3 and core.m == 3
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_graphs())
-    def test_prune_properties(self, g):
-        for q in (1, 2, 3):
-            core = prune_min_degree(g, q)
-            assert core.n == 0 or core.min_degree() >= q
-            again = prune_min_degree(core, q)
-            assert again.n == core.n and again.m == core.m
-
     def test_dense_subhost_keeps_certificate(self):
         base = incidence_graph_pg2(3)
         sub = dense_subhost(base, base.order // 2)
         assert sub.certified_girth >= 6
         assert check_family_free(sub.graph, ForbiddenFamily("even", 4)).free
+
+    @pytest.mark.parametrize(
+        "n, min_girth, k, order, expected_girth",
+        [(60, 5, 10, 11, INFINITE), (120, 7, 20, 114, 7)],
+    )
+    def test_dense_subhost_pruned(self, n, min_girth, k, order, expected_girth):
+        # greedy parents have low-degree vertices, so these are pruned and
+        # certified afresh against the parent's family
+        base = greedy_high_girth(n, min_girth, 0)
+        sub = dense_subhost(base, k)
+        assert base.order == n and sub.order == order
+        assert sub.certified_girth == girth(sub.graph) == expected_girth
+        assert sub.certified_family == base.certified_family
+        assert sub.degraded
 
     def test_dense_subhost_order_window(self):
         base = incidence_graph_pg2(5)

@@ -17,9 +17,6 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((0, 2), 3)
 
-    def test_format(self):
-        assert Partition((1, 0), 3).format_lines() == "0 1\n1 0\n"
-
 
 class TestMaxKPartite:
     def test_rejects_small_k(self):
