@@ -638,9 +638,8 @@ def find_short_even_cycle(g: Graph, bound: int) -> Optional[CycleWitness]:
 def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
     """Whether ``g`` is free of ``fam``, with a validated witness if not.
 
-    The search stops at the first forbidden cycle and computes no girth.
-    It is the test behind ``verify``, and the first half of
-    :func:`family_girth` for ``even:2r``.
+    The search stops at the first forbidden cycle and computes no girth;
+    :func:`family_girth` adds the girth of a free graph.
     """
     if fam.kind == "all":
         witness = find_cycle_up_to(g, fam.bound)

@@ -313,11 +313,9 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
     returned with its achieved min degree and flagged degraded; if the input
     order already exceeds 2k the (possibly pruned) result is flagged too.
 
-    When nothing is pruned the parent's certificate carries over.  A pruned
-    subgraph is certified afresh against the parent's family by one
-    :func:`certify_host` call.  The greedy all:L parents that get pruned
-    are free of that family, and so is every induced subgraph, so the call
-    is one girth search that never stops early.
+    When nothing is pruned the parent's certificate carries over; a pruned
+    subgraph is certified against the parent's family by one
+    :func:`certify_host` call, which for an all:L family is one girth search.
     """
     if k < 1:
         raise ValueError("target size must be >= 1")

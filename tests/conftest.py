@@ -1,7 +1,11 @@
+import contextlib
 import random
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from girthforge import graph as graph_mod
+from girthforge import hosts as hosts_mod
 from girthforge.graph import Graph, pair_from_index
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
@@ -26,3 +30,32 @@ def small_graphs(draw, max_n=8, max_m=None):
     rng = random.Random(seed)
     chosen = rng.sample(range(total), m)
     return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
+
+
+@contextlib.contextmanager
+def each_graph_searched_once(extractor_mod):
+    """Record, by object, the graphs passed to ``check_family_free``,
+    ``family_girth`` and ``certify`` at every site that binds them, and
+    fail as soon as one graph reaches the same step twice.
+
+    Yields the step name -> graphs seen mapping.
+    """
+    seen = {name: [] for name in ("check_family_free", "family_girth", "certify")}
+
+    def recorder(name):
+        fn = getattr(graph_mod, name)
+
+        def wrapped(graph, *args):
+            assert not any(x is graph for x in seen[name]), f"{name} twice"
+            seen[name].append(graph)
+            return fn(graph, *args)
+
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name in seen:
+            wrapped = recorder(name)
+            for mod in (graph_mod, hosts_mod, extractor_mod):
+                if hasattr(mod, name):
+                    stack.enter_context(mock.patch.object(mod, name, wrapped))
+        yield seen

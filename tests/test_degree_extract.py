@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +20,6 @@ from girthforge.hosts import (
     random_gnm,
 )
 from girthforge import degree_extract as degree_mod
-from girthforge import graph as graph_mod
-from girthforge import hosts as hosts_mod
 from girthforge.edge_extract import h_prime
 from girthforge.degree_extract import (
     BadEvent,
@@ -33,7 +30,7 @@ from girthforge.degree_extract import (
     resample_until_clear,
 )
 from bruteforce import brute_bad_events, reference_resample
-from conftest import small_graphs
+from conftest import each_graph_searched_once, small_graphs
 
 
 def _host():
@@ -248,33 +245,13 @@ class TestExtractor:
         ids=["K10", "gnm", "C8"],
     )
     def test_certifies_each_graph_once(self, g):
-        # graphs passed to each step, by object: no graph may reach the
-        # same step twice, whichever module makes the call
-        seen = {"check": [], "search": [], "certify": []}
-
-        def recorder(step, fn):
-            def wrapped(graph, *args):
-                assert not any(x is graph for x in seen[step]), f"{step} twice"
-                seen[step].append(graph)
-                return fn(graph, *args)
-
-            return wrapped
-
-        check = recorder("check", graph_mod.check_family_free)
-        search = recorder("search", graph_mod.family_girth)
-        cert = recorder("certify", graph_mod.certify)
         trials = 3
-        with mock.patch.object(graph_mod, "check_family_free", check), \
-                mock.patch.object(hosts_mod, "check_family_free", check), \
-                mock.patch.object(graph_mod, "family_girth", search), \
-                mock.patch.object(degree_mod, "family_girth", search), \
-                mock.patch.object(hosts_mod, "certify", cert), \
-                mock.patch.object(degree_mod, "certify", cert):
+        with each_graph_searched_once(degree_mod) as seen:
             out, report = extract_spanning_high_girth(g, 2, 21, trials)
-        assert any(x is out for x in seen["search"])
+        assert any(x is out for x in seen["family_girth"])
         assert (report.method == "identity") == (g.m == 8)
         # one search per candidate: the identity decision, forest, trials
-        assert sum(x.n == g.n for x in seen["search"]) == 2 + trials
+        assert sum(x.n == g.n for x in seen["family_girth"]) == 2 + trials
 
     def test_forest_floor(self):
         # connected input: any candidate must match the forest's min degree

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +12,6 @@ from girthforge.graph import (
     girth,
 )
 from girthforge import edge_extract as edge_mod
-from girthforge import graph as graph_mod
-from girthforge import hosts as hosts_mod
 from girthforge.hosts import (
     clique_apex,
     complete,
@@ -37,7 +34,7 @@ from girthforge.edge_extract import (
     star_fallback,
 )
 from bruteforce import has_forbidden
-from conftest import small_graphs
+from conftest import each_graph_searched_once, small_graphs
 
 EVEN4 = ForbiddenFamily("even", 4)
 
@@ -267,31 +264,11 @@ class TestExtractor:
         ids=["K10", "gnm", "C8", "PG23"],
     )
     def test_certifies_each_graph_once(self, g, odd_free):
-        # graphs passed to each step, by object: no graph may reach the
-        # same step twice, whichever module makes the call
-        seen = {"check": [], "search": [], "certify": []}
-
-        def recorder(step, fn):
-            def wrapped(graph, *args):
-                assert not any(x is graph for x in seen[step]), f"{step} twice"
-                seen[step].append(graph)
-                return fn(graph, *args)
-
-            return wrapped
-
-        check = recorder("check", graph_mod.check_family_free)
-        search = recorder("search", graph_mod.family_girth)
-        cert = recorder("certify", graph_mod.certify)
-        with mock.patch.object(graph_mod, "check_family_free", check), \
-                mock.patch.object(hosts_mod, "check_family_free", check), \
-                mock.patch.object(graph_mod, "family_girth", search), \
-                mock.patch.object(edge_mod, "family_girth", search), \
-                mock.patch.object(hosts_mod, "certify", cert), \
-                mock.patch.object(edge_mod, "certify", cert):
+        with each_graph_searched_once(edge_mod) as seen:
             out, report = extract_even_cycle_free(g, 2, 3, 13, odd_free=odd_free)
         # the winner is searched once, when it is made or, for a winner not
         # certified yet, after it is picked
-        assert sum(x is out for x in seen["search"]) == 1
+        assert sum(x is out for x in seen["family_girth"]) == 1
         assert report.output_girth == girth(out)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
