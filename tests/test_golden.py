@@ -4,7 +4,7 @@ Each digest was recorded at the commit before the code it guards was
 rewritten (the forbidden-cycle engine; the resampler, the C4 certificate
 and the projective hosts; the closed-form host lines and
 ``Graph.from_edges``; the one certification step and the ``sweep`` rows
-that read it), so any change to a greedy decision, a resampling
+that read it; the case-1 host cache and trial loop), so any change to a greedy decision, a resampling
 step, a witness, a report field or an output file shows up here as a
 digest mismatch.  Inputs are built inside the test from stdlib
 ``random`` so they do not depend on the package's own generators.
@@ -80,6 +80,32 @@ def test_extract_edges_digests(case, sparse_path, tmp_path):
     code, stdout, out = _run(argv, tmp_path / "out.edges")
     assert code == 0
     assert (_sha(stdout), _sha(out)) == (stdout_sha, out_sha)
+
+
+# r -> (sha256 of stdout, sha256 of the --out file); K_{5,20} is the input
+# that reaches case 1, with the incidence-trim host at r = 2 and the
+# cover-trim host at r = 3
+CASE1_CASES = {
+    "2": (
+        "606c47fa4279bf9fe3d682ff229d3a903ba0c26ba7e8c7c09f901f66d93e043a",
+        "444b503b920cdcd7ec5e432f84bd15585645a5395ac425dcae0ef5e9d10cbe2c",
+    ),
+    "3": (
+        "5eb40a9bdec97fcc6f7d654666a046f8b3eacfd361a42f9abc2c27586e2fdec3",
+        "1e2c659dc3ccae06d59a8ad6d78fb16f64b9976a771618a0f355d3428f59c952",
+    ),
+}
+
+
+@pytest.mark.parametrize("r", sorted(CASE1_CASES))
+def test_extract_edges_case1_digests(r, tmp_path):
+    path = tmp_path / "k5_20.edges"
+    path.write_text("".join(f"{i} {5 + j}\n" for i in range(5) for j in range(20)))
+    argv = ["extract", "edges", "--in", str(path), "--trials", "4", "--seed", "5",
+            "--r", r]
+    code, stdout, out = _run(argv, tmp_path / "out.edges")
+    assert code == 0
+    assert (_sha(stdout), _sha(out)) == CASE1_CASES[r]
 
 
 def test_greedy_host_digests(tmp_path):
