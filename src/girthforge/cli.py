@@ -22,7 +22,6 @@ import time
 from . import degree_extract, edge_extract, hosts, oracle
 from .graph import (
     CertificationError,
-    EdgeListParseError,
     ForbiddenFamily,
     check_family_free,
     format_edge_list,
@@ -329,13 +328,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EdgeListParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:  # EdgeListParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificationError as exc:

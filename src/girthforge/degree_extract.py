@@ -9,7 +9,6 @@ matching, which forces high girth.  Every output is certified directly.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .graph import (
 )
 from .edge_extract import h_prime, spanning_forest
 from .hosts import (
+    MAX_PLANE_ORDER,
     HostGraph,
     dense_subhost,
     greedy_high_girth,
@@ -246,21 +246,20 @@ def edge_retention(
 
 
 def _quantize(k: int) -> int:
-    """Round the host-size parameter up to a power of two so repeated runs
-    on similar inputs share one cached host."""
+    """Round the host-size parameter up to a power of two so runs on similar
+    inputs share one base host from the caches of :mod:`hosts`."""
     return 1 << max(4, (k - 1).bit_length())
 
 
-@functools.lru_cache(maxsize=None)
 def _degree_host(k_quantized: int, r: int) -> HostGraph:
     """Girth >= 2r+2 host of order near 2k via dense_subhost.
 
-    r = 2 uses a projective incidence graph (girth exactly 6); r >= 3 uses
-    the greedy construction, capped at a desk-scale order (the theory
-    precondition is flagged unmet by the caller when the cap binds).
+    r = 2 uses a projective incidence graph (girth exactly 6) of plane order
+    at most MAX_PLANE_ORDER; r >= 3 the greedy construction, capped at a
+    desk-scale order.  The caller flags either cap binding as size_capped.
     """
     if r == 2:
-        q = smallest_prime_with_plane_order(min(k_quantized, 101 * 101 + 101 + 1))
+        q = min(smallest_prime_with_plane_order(k_quantized), MAX_PLANE_ORDER)
         base = incidence_graph_pg2(q)
     else:
         n = min(2 * k_quantized, GREEDY_HOST_ORDER)
@@ -311,7 +310,7 @@ def extract_spanning_high_girth(
         k = min(k_raw, HOST_ORDER_CAP // 2)
         kq = _quantize(k)
         host = _degree_host(kq, r)
-        capped = k < k_raw or (r >= 3 and host.order < 2 * kq)
+        capped = k < k_raw or host.order < 2 * kq
         t = max(1, math.ceil(math.log(delta_max))) if delta_max > 1 else 1
         q = max(1, host.min_degree)
         ell = host.order

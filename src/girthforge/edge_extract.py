@@ -10,7 +10,6 @@ to the trivial answer.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import Counter, deque
@@ -29,6 +28,7 @@ from .graph import (
 )
 from .hosts import (
     GREEDY_ORDER_CAP,
+    MAX_PLANE_ORDER,
     HostGraph,
     bipartite_trim,
     certify_host,
@@ -140,15 +140,15 @@ def h_star(g: Graph, chi: VertexColoring, host: HostGraph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _case1_host(k: int, b: int, r: int) -> HostGraph:
     """Bipartite even-cycle-free host with parts sized exactly (k, b).
 
     Best by edge count of: the star host (one part-A center joined to all
-    of B); for r = 2 a doubly trimmed projective incidence graph; for
-    r >= 3 a doubly trimmed bipartite double cover of a greedy high-girth
-    graph (skipped when the needed side is below the girth 2r + 1 or above
-    the greedy cap).
+    of B); for r = 2 a doubly trimmed projective incidence graph (skipped
+    above plane order MAX_PLANE_ORDER); for r >= 3 a doubly trimmed
+    bipartite double cover of a greedy high-girth graph (skipped when the
+    needed side is below the girth 2r + 1 or above the greedy cap).  Built
+    once per extractor call from the cached hosts of :mod:`hosts`.
     """
     fam = ForbiddenFamily.even_cycles_up_to(2 * r)
     candidates: list[tuple[Graph, tuple, str]] = []
@@ -160,9 +160,9 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     )
 
     side = max(k, b)
-    if r == 2 and side <= 102 * 102 + 102 + 1:
+    if r == 2:
         q = smallest_prime_with_plane_order(side)
-        if q <= 101:
+        if q <= MAX_PLANE_ORDER:
             inc = incidence_graph_pg2(q)
             trimmed, parts = bipartite_trim(inc.graph, inc.parts, k)
             # trim the second side too: swap parts and keep the top b
@@ -383,24 +383,24 @@ def extract_even_cycle_free(
     candidates.append((star_fallback(work), "star", None))
     candidates.append((matching_fallback(work), "matching", None))
 
+    # the split, the case and that case's input depend on the input alone
+    extract = None
+    if work.m >= 1:
+        split = split_and_bucket(work)
+        if 4 * split.edges_v1_v2 >= work.m and split.chosen_q is not None:
+            k = len(split.buckets[split.chosen_q])
+            host = _case1_host(k, -(-work.m // k), r)
+            method, extract = "case1", lambda s: case1_extract(work, split, host, r, s)
+        else:
+            in_v2 = set(split.v2)
+            g2 = edge_subgraph(work, lambda e: e[0] in in_v2 and e[1] in in_v2)
+            method, extract = "case2", lambda s: case2_extract(g2, r, s, work.m)
+
     trial_edge_counts = []
     for t in range(trials):
         trial_seed = mix(seed, t)
-        if work.m >= 1:
-            split = split_and_bucket(work)
-            if 4 * split.edges_v1_v2 >= work.m and split.chosen_q is not None:
-                k = len(split.buckets[split.chosen_q])
-                b = -(-work.m // k)
-                host = _case1_host(k, b, r)
-                out = case1_extract(work, split, host, r, trial_seed)
-                method = "case1"
-            else:
-                in_v2 = set(split.v2)
-                g2 = edge_subgraph(
-                    work, lambda e: e[0] in in_v2 and e[1] in in_v2
-                )
-                out = case2_extract(g2, r, trial_seed, edge_budget=work.m)
-                method = "case2"
+        if extract is not None:
+            out = extract(trial_seed)
             candidates.append((out, method, certify(out, fam, f"{method} output")))
             trial_edge_counts.append(out.m)
         gout = greedy_family_free(work, fam, mix(trial_seed, _SALT_GREEDY))

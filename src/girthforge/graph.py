@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 

@@ -2,7 +2,8 @@
 
 Hosts are the fixed graphs that vertex labelings embed into; every host
 carries a verified certificate (forbidden-family freeness, exact girth,
-minimum degree).  Construction aborts if verification fails.
+minimum degree).  Construction aborts if verification fails.  The three
+host constructors are the only memoized functions, each by a bounded cache.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graph import (
-    INFINITE,
     CertificationError,
     CycleWitness,
     ForbiddenFamily,
@@ -30,6 +30,7 @@ from .graph import (
 )
 
 GREEDY_ORDER_CAP = 3000  # all-pairs permutation kept in memory
+MAX_PLANE_ORDER = 101  # largest prime q of a PG(2,q) host
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _pg2_orthogonal_pairs(q: int):
     return np.repeat(np.arange(len(x0)), q + 1), ys.ravel()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def polarity_graph(q: int) -> HostGraph:
     """C4-free polarity graph of the projective plane of order q.
 
@@ -181,8 +182,8 @@ def polarity_graph(q: int) -> HostGraph:
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if not (2 <= q <= 101):
-        raise ValueError("q outside the supported range 2..101")
+    if not (2 <= q <= MAX_PLANE_ORDER):
+        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
     upper = rows < cols
@@ -200,7 +201,7 @@ def polarity_graph(q: int) -> HostGraph:
     return host
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def incidence_graph_pg2(q: int) -> HostGraph:
     """Point-line incidence graph of PG(2,q): bipartite, (q+1)-regular, girth 6.
 
@@ -212,8 +213,8 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if not (2 <= q <= 101):
-        raise ValueError("q outside the supported range 2..101")
+    if not (2 <= q <= MAX_PLANE_ORDER):
+        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
     graph = Graph.from_edges(2 * n, zip(rows.tolist(), (cols + n).tolist()))
@@ -313,18 +314,23 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
     returned with its achieved min degree and flagged degraded; if the input
     order already exceeds 2k the (possibly pruned) result is flagged too.
 
-    When nothing is pruned the parent's certificate carries over; a pruned
-    subgraph is certified against the parent's family by one
-    :func:`certify_host` call, which for an all:L family is one girth search.
+    When nothing can be pruned (order <= k + 1, or the parent's min degree
+    meets the threshold) the parent is returned under the new label with
+    its certificate; a pruned subgraph is certified against the parent's
+    family by one :func:`certify_host` call (one girth search for all:L).
     """
     if k < 1:
         raise ValueError("target size must be >= 1")
     g = g_prime.graph
     threshold = -(-g.m // (4 * k))  # ceil(m / 4k)
+    label = f"dense_subhost(k={k}) of {g_prime.label}"
+    if g.n <= k + 1 or g_prime.min_degree >= threshold:
+        degraded = g.n > 2 * k or g_prime.min_degree < threshold
+        return replace(g_prime, label=label, degraded=degraded)
+    degraded = g.n > 2 * k
     alive = [True] * g.n
     deg = list(g.degrees())
     order = g.n
-    degraded = g.n > 2 * k
     # lowest-index victim first; lazily revalidated heap
     candidates = [v for v in range(g.n) if deg[v] < threshold]
     heapq.heapify(candidates)
@@ -339,14 +345,9 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
                 deg[w] -= 1
                 if deg[w] < threshold:
                     heapq.heappush(candidates, w)
-    still_low = any(alive[v] and deg[v] < threshold for v in range(g.n))
-    if still_low:
+    if any(alive[v] and deg[v] < threshold for v in range(g.n)):
         degraded = True
     keep = [v for v in range(g.n) if alive[v]]
-    label = f"dense_subhost(k={k}) of {g_prime.label}"
-    if len(keep) == g.n:
-        # nothing pruned: the parent's certificate carries over verbatim
-        return replace(g_prime, label=label, degraded=degraded)
     sub, _ = induced_subgraph(g, keep)
     return certify_host(sub, g_prime.certified_family, label=label, degraded=degraded)
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .graph import INFINITE, ForbiddenFamily, GirthValue, Graph
+from .graph import ForbiddenFamily, GirthValue
 
 SCHEMA_VERSION = 1
 

@@ -9,8 +9,6 @@ import io
 import math
 import time
 
-import pytest
-
 import conftest
 
 from girthforge.cli import main as cli_main

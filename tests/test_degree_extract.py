@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthforge.graph import (
-    ForbiddenFamily,
     Graph,
     INFINITE,
     VertexColoring,
-    check_family_free,
     girth,
 )
 from girthforge.hosts import (
@@ -20,7 +18,6 @@ from girthforge.hosts import (
     random_gnm,
 )
 from girthforge import degree_extract as degree_mod
-from girthforge.edge_extract import h_prime
 from girthforge.degree_extract import (
     BadEvent,
     EdgeWeights,
@@ -279,6 +276,17 @@ class TestExtractor:
         assert report.extras["host"]["girth"] >= 6
         assert report.extras["t"] >= 1
         assert isinstance(report.extras["degraded"], bool)
+
+    def test_small_host_is_size_capped_at_r2(self, monkeypatch):
+        # the PG(2,101) clamp leaves the r = 2 host below 2 kq for
+        # 76 <= Delta <= 228; a small host stands in for it here
+        monkeypatch.setattr(
+            degree_mod, "_degree_host", lambda kq, r: incidence_graph_pg2(3)
+        )
+        _, report = extract_spanning_high_girth(complete(6), 2, 5, 1)
+        assert report.extras["host"]["order"] == 26
+        assert report.extras["size_capped"] is True
+        assert report.extras["precondition_plausible"] is False
 
     def test_rejects_bad_params(self):
         g = complete(5)

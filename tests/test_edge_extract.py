@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,17 @@ class TestExtractor:
         # certified yet, after it is picked
         assert sum(x is out for x in seen["family_girth"]) == 1
         assert report.output_girth == girth(out)
+
+    def test_case_chosen_once_per_call(self):
+        # the split and the case-1 host depend on the input alone, so the
+        # trial loop reuses them instead of asking again per trial
+        with mock.patch.object(
+            edge_mod, "split_and_bucket", wraps=split_and_bucket
+        ) as split, mock.patch.object(
+            edge_mod, "_case1_host", wraps=_case1_host
+        ) as host:
+            extract_even_cycle_free(complete_bipartite(5, 20), 2, 4, 5)
+        assert (split.call_count, host.call_count) == (1, 1)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_small_star_is_identity(self, r):

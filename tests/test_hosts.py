@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,6 @@ from girthforge.graph import (
     girth,
 )
 from girthforge.hosts import (
-    HostGraph,
     bipartite_trim,
     clique_apex,
     complete,
@@ -225,6 +226,21 @@ class TestPruneAndDense:
         assert len(parts[0]) == 5 and len(parts[1]) == 13
         sa = set(parts[0])
         assert all((u in sa) != (v in sa) for u, v in trimmed.edges)
+
+
+class TestCaches:
+    def test_only_host_constructors_are_memoized_and_bounded(self):
+        cached = set()
+        for info in pkgutil.walk_packages(girthforge.__path__, "girthforge."):
+            mod = importlib.import_module(info.name)
+            for value in vars(mod).values():
+                members = vars(value).values() if isinstance(value, type) else ()
+                for fn in (value, *members):
+                    if callable(getattr(fn, "cache_parameters", None)):
+                        assert fn.__module__ == "girthforge.hosts", fn
+                        assert fn.cache_parameters()["maxsize"] is not None, fn
+                        cached.add(fn.__name__)
+        assert cached == {"polarity_graph", "incidence_graph_pg2", "greedy_high_girth"}
 
 
 class TestGenerators:
