@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,33 +84,11 @@ class ResampleResult:
     residual_events: int
 
 
-def _vertex_events(
-    v: int,
-    nbrs: tuple[int, ...],
-    colors,
-    host_adj,
-    ell: int,
-    q: int,
-    t: int,
-) -> tuple[bool, list[BadEvent]]:
-    """Whether v has a type-A event, and its type-B events by color.
-
-    Both depend only on the colors of v and of its neighbors ``nbrs``.
-    """
-    d = len(nbrs)
-    if d == 0:
-        return False, []
-    own = host_adj[colors[v]]
-    d_prime = sum(1 for w in nbrs if colors[w] in own)
-    groups: dict[int, list[int]] = {}
-    for w in nbrs:
-        groups.setdefault(colors[w], []).append(w)
-    type_b = [
-        BadEvent("B", v, c, tuple(sorted(groups[c])[: t + 1]))
-        for c in sorted(groups)
-        if len(groups[c]) > t
-    ]
-    return 2 * ell * d_prime <= q * d, type_b
+def _crowded_colors(seen: list[int], t: int) -> list[int]:
+    """The colors that occur more than t times in ``seen``, ascending."""
+    if len(set(seen)) > len(seen) - t:
+        return []  # too few repeated colors for one to exceed t
+    return sorted(c for c, k in Counter(seen).items() if k > t)
 
 
 def find_bad_events(
@@ -119,22 +98,27 @@ def find_bad_events(
     (vertex, color); empty means the coloring is accepted.
 
     The type-A comparison 2*ell*d' <= q*d is exact integer arithmetic;
-    isolated vertices are skipped (the event is vacuous for them).
+    isolated vertices are skipped (the event is vacuous for them).  A
+    type-B witness is the t+1 smallest neighbors of its color.
     """
     if chi.ell != host.graph.n:
         raise ValueError("coloring color count must equal the host order")
     if q < 1 or t < 1:
         raise ValueError("need q >= 1 and t >= 1")
     host_adj = host.graph.adjacency_sets
+    colors = chi.colors
     events: list[BadEvent] = []
     type_b: list[BadEvent] = []
-    for v in range(g.n):
-        bad_a, bad_b = _vertex_events(
-            v, g.adjacency[v], chi.colors, host_adj, chi.ell, q, t
-        )
-        if bad_a:
+    for v, nbrs in enumerate(g.adjacency):
+        if not nbrs:
+            continue
+        seen = [colors[w] for w in nbrs]
+        d_prime = sum(map(host_adj[colors[v]].__contains__, seen))
+        if 2 * chi.ell * d_prime <= q * len(nbrs):
             events.append(BadEvent("A", v))
-        type_b.extend(bad_b)
+        for c in _crowded_colors(seen, t):
+            group = [w for w, cw in zip(nbrs, seen) if cw == c]  # ascending
+            type_b.append(BadEvent("B", v, c, tuple(group[: t + 1])))
     events.extend(type_b)
     return events
 
@@ -152,9 +136,22 @@ def resample_until_clear(
     The first event by :meth:`BadEvent.sort_key` (lowest type-A vertex,
     else lowest (vertex, color) type-B event) is resampled: type A redraws
     the vertex and its whole neighborhood, type B only the witness set.
-    As in Moser and Tardos's algorithm, a redraw can change only the
-    events at the redrawn vertices and their neighbors, so after one full
-    :func:`find_bad_events` scan the event sets are updated there alone.
+    As in Moser and Tardos's algorithm, a redraw changes only the events
+    at the redrawn vertices and their neighbors, so after one full
+    :func:`find_bad_events` scan the state is kept up to date locally:
+
+    * d'(v), the number of neighbors of v whose colors are host-adjacent
+      to v's, is an exact counter.  A recolored vertex x moves it by
+      [new in H(color y)] - [old in H(color y)] at each neighbor y that
+      was not redrawn, and each redrawn vertex recounts its own, so the
+      type-A set is exact after every round at O(sum of the redrawn
+      vertices' degrees).
+    * Type-B state (colors held by more than t neighbors) is refreshed
+      lazily: neighbors of recolored vertices are marked dirty and
+      recounted only when that state is read, that is when no type-A
+      event is left or at the round cap.  A picked type-B event's
+      witness is the t+1 smallest neighbors of its color.
+
     Hitting ``max_rounds`` returns the final coloring flagged degraded
     together with its residual event count (never silent).
     """
@@ -164,18 +161,40 @@ def resample_until_clear(
     rng = random.Random(seed)
     chi = VertexColoring.uniform(g.n, ell, rng)
     type_a: set[int] = set()
-    type_b: dict[int, list[BadEvent]] = {}  # vertex -> its events by color
+    type_b: dict[int, list[int]] = {}  # vertex -> over-represented colors, ascending
     for event in find_bad_events(g, chi, host, q, t):
         if event.tag == "A":
             type_a.add(event.vertex)
         else:
-            type_b.setdefault(event.vertex, []).append(event)
+            type_b.setdefault(event.vertex, []).append(event.color)
     adj = g.adjacency
     host_adj = host.graph.adjacency_sets
     colors = list(chi.colors)
+    d_prime = [
+        sum(map(host_adj[colors[v]].__contains__, map(colors.__getitem__, nbrs)))
+        for v, nbrs in enumerate(adj)
+    ]
+    # v has a type-A event exactly when d'(v) <= cap[v] (2*ell*d' <= q*d)
+    cap = [q * len(nbrs) // (2 * ell) if nbrs else -1 for nbrs in adj]
+    dirty: set[int] = set()  # vertices whose type-B state may be stale
+
+    def refresh_type_b() -> None:
+        for v in dirty:
+            over = _crowded_colors([colors[w] for w in adj[v]], t)
+            if over:
+                type_b[v] = over
+            else:
+                type_b.pop(v, None)
+        dirty.clear()
+
     rounds = 0
-    while type_a or type_b:
+    while True:
+        if not type_a:
+            refresh_type_b()
+            if not type_b:
+                break
         if rounds >= max_rounds:
+            refresh_type_b()
             residual = len(type_a) + sum(map(len, type_b.values()))
             chi = VertexColoring(tuple(colors), ell)
             return ResampleResult(chi, rounds, True, residual)
@@ -183,23 +202,40 @@ def resample_until_clear(
             v = min(type_a)
             targets = (v,) + adj[v]
         else:
-            targets = type_b[min(type_b)][0].witness
-        for v in targets:
-            colors[v] = rng.randrange(ell)
+            v = min(type_b)
+            color = type_b[v][0]
+            targets = tuple(w for w in adj[v] if colors[w] == color)[: t + 1]
         rounds += 1
-        touched = set(targets)
-        for v in targets:
-            touched.update(adj[v])
-        for v in touched:
-            bad_a, bad_b = _vertex_events(v, adj[v], colors, host_adj, ell, q, t)
-            if bad_a:
-                type_a.add(v)
+        redrawn = set(targets)
+        for x in targets:
+            co = colors[x]
+            cn = colors[x] = rng.randrange(ell)
+            if cn == co:
+                continue
+            nbrs = adj[x]
+            dirty.update(nbrs)
+            for y in nbrs:
+                if y in redrawn:
+                    continue  # recounted below
+                own = host_adj[colors[y]]
+                delta = (cn in own) - (co in own)
+                if delta:
+                    d = d_prime[y] = d_prime[y] + delta
+                    if d <= cap[y]:
+                        type_a.add(y)
+                    else:
+                        type_a.discard(y)
+        for x in targets:  # a plain loop: cheaper than map() at these degrees
+            own = host_adj[colors[x]]
+            d = 0
+            for w in adj[x]:
+                if colors[w] in own:
+                    d += 1
+            d_prime[x] = d
+            if d <= cap[x]:
+                type_a.add(x)
             else:
-                type_a.discard(v)
-            if bad_b:
-                type_b[v] = bad_b
-            else:
-                type_b.pop(v, None)
+                type_a.discard(x)
     return ResampleResult(VertexColoring(tuple(colors), ell), rounds, False, 0)
 
 

@@ -792,12 +792,20 @@ def closes_forbidden_cycle(
 # ---------------------------------------------------------------------------
 
 
+# The largest vertex id an edge list may use.  The graph gets one adjacency
+# row per id up to the largest one, used or not, so a single huge id would
+# otherwise allocate without bound.
+MAX_VERTEX_ID = 2**22 - 1
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the one-edge-per-line format.
 
-    Two whitespace-separated 0-based vertex ids per line; '#' starts a
-    comment line; blank lines ignored; loops and duplicates rejected with
-    the offending line number.
+    Two whitespace-separated 0-based vertex ids per line, each at most
+    :data:`MAX_VERTEX_ID`; '#' starts a comment line; blank lines ignored;
+    loops, duplicates and ids beyond the cap rejected with the offending
+    line number.  Ids are kept as given: unused ids below the largest one
+    are isolated vertices.
     """
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -815,6 +823,10 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"line {lineno}: non-integer vertex in {raw!r}")
         if u < 0 or v < 0:
             raise EdgeListParseError(f"line {lineno}: negative vertex id")
+        if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
+            raise EdgeListParseError(
+                f"line {lineno}: vertex id {max(u, v)} exceeds MAX_VERTEX_ID"
+            )
         if u == v:
             raise EdgeListParseError(f"line {lineno}: self-loop at {u}")
         key = (u, v) if u < v else (v, u)

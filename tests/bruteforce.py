@@ -142,29 +142,60 @@ def brute_bad_events(g: Graph, colors, host_graph: Graph, q: int, t: int):
     return events
 
 
-def reference_resample(g: Graph, host_graph: Graph, q: int, t: int, seed: int,
-                       max_rounds: int):
+def reference_resample_events(g: Graph, host_graph: Graph, q: int, t: int,
+                              seed: int, max_rounds: int):
     """The resampling loop with a full rescan of every vertex each round.
 
     Colors are drawn uniformly in vertex order from random.Random(seed);
     each round redraws, in order, the first event's vertex and neighbors
-    (type A) or its witness (type B).  Returns (colors, rounds, degraded,
-    residual event count)."""
+    (type A) or its witness (type B).  Returns (colors, the event lists
+    read before each round and after the last one)."""
     ell = host_graph.n
     rng = random.Random(seed)
     colors = [rng.randrange(ell) for _ in range(g.n)]
-    rounds = 0
+    history = []
     while True:
         events = brute_bad_events(g, colors, host_graph, q, t)
-        if not events:
-            return tuple(colors), rounds, False, 0
-        if rounds >= max_rounds:
-            return tuple(colors), rounds, True, len(events)
+        history.append(events)
+        if not events or len(history) > max_rounds:
+            return tuple(colors), history
         tag, v, _, witness = events[0]
         targets = (v,) + g.adjacency[v] if tag == "A" else witness
         for x in targets:
             colors[x] = rng.randrange(ell)
-        rounds += 1
+
+
+def reference_resample(g: Graph, host_graph: Graph, q: int, t: int, seed: int,
+                       max_rounds: int):
+    """:func:`reference_resample_events` as (colors, rounds, degraded,
+    residual event count)."""
+    colors, history = reference_resample_events(g, host_graph, q, t, seed, max_rounds)
+    last = history[-1]
+    return colors, len(history) - 1, bool(last), len(last)
+
+
+def reference_max_kpartite(g: Graph, k: int, seed: int):
+    """The local search with a full rescan from vertex 0 after every move.
+
+    Parts are drawn uniformly in vertex order from random.Random(seed);
+    the first vertex with more than d(v)/(k-1) neighbors in its own part
+    moves to the part holding fewest of them (lowest index on ties).
+    Returns (parts, cross-part edges)."""
+    p = k - 1
+    rng = random.Random(seed)
+    part = [rng.randrange(p) for _ in range(g.n)]
+    while True:
+        for v in range(g.n):
+            row = [0] * p
+            for w in g.adjacency[v]:
+                row[part[w]] += 1
+            if row[part[v]] * p > len(g.adjacency[v]):
+                part[v] = min(range(p), key=lambda j: (row[j], j))
+                break
+        else:
+            break
+    cross = tuple(e for e in g.edges if part[e[0]] != part[e[1]])
+    return tuple(part), cross
 
 
 def brute_smallest_shared_pair(g: Graph):

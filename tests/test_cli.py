@@ -3,7 +3,7 @@ import json
 import pytest
 
 from girthforge.cli import main
-from girthforge.graph import parse_edge_list
+from girthforge.graph import MAX_VERTEX_ID, parse_edge_list
 from girthforge.hosts import complete, random_gnm, star
 from girthforge.graph import format_edge_list
 
@@ -56,6 +56,18 @@ class TestVerify:
         p.write_text("0 1\n1 1\n")
         code, _ = run(capsys, ["verify", "--family", "even:4", "--in", str(p)])
         assert code == 1
+
+    def test_vertex_id_beyond_cap_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "huge.edges"
+        p.write_text(f"0 1\n0 {MAX_VERTEX_ID + 1}\n")
+        for argv in (
+            ["verify", "--family", "even:4"],
+            ["extract", "degree", "--r", "2", "--trials", "1"],
+        ):
+            code = main([*argv, "--in", str(p)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert "line 2" in captured.err and "exceeds MAX_VERTEX_ID" in captured.err
 
 
 class TestExtract:

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from girthforge.degree_extract import (
     find_bad_events,
     resample_until_clear,
 )
-from bruteforce import brute_bad_events, reference_resample
+from bruteforce import brute_bad_events, reference_resample, reference_resample_events
 from conftest import each_graph_searched_once, small_graphs
 
 
@@ -148,6 +150,77 @@ class TestResample:
                     outcomes.add((res.degraded, res.rounds > 0))
         # runs that clear after resampling and runs that hit the cap
         assert {(False, True), (True, True)} <= outcomes
+
+    @pytest.mark.parametrize("pg_order", [2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "g",
+        [complete(20), clique_apex(3, 20), complete_bipartite(10, 10)],
+        ids=["K20", "apex3,20", "K10,10"],
+    )
+    def test_matches_full_rescan_on_dense_inputs(self, g, pg_order):
+        # a type-A round redraws v and all its neighbors, which here are
+        # adjacent to one another: most counter updates meet a vertex that
+        # was redrawn in the same round and must recount instead
+        host = incidence_graph_pg2(pg_order)
+        t_paper = max(1, math.ceil(math.log(g.max_degree())))
+        for q, t in ((host.min_degree, t_paper), (1, 1)):
+            for seed in range(2):
+                res = resample_until_clear(g, host, q, t, seed, 24)
+                got = (res.coloring.colors, res.rounds, res.degraded,
+                       res.residual_events)
+                assert got == reference_resample(g, host.graph, q, t, seed, 24)
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_matches_full_rescan_through_type_b_phase(self, seed):
+        # K8 against PG(2,2) with q = t = 1: type-A rounds leave the type-B
+        # state stale, then a round with only type-B events reads it, with
+        # two or more over-represented colors at one vertex
+        g, host = complete(8), _host()
+        colors, history = reference_resample_events(g, host.graph, 1, 1, seed, 64)
+        phase = [
+            i
+            for i, events in enumerate(history)
+            if events
+            and all(e[0] == "B" for e in events)
+            and any(h and h[0][0] == "A" for h in history[:i])
+            and max(Counter(e[1] for e in events).values()) >= 2
+        ]
+        assert phase
+        res = resample_until_clear(g, host, 1, 1, seed, 64)
+        assert (res.coloring.colors, res.rounds) == (colors, len(history) - 1)
+        assert not res.degraded
+
+    def test_capped_residual_mixes_both_types(self):
+        host = _host()
+        g = random_gnm(30, 90, 3)
+        res = resample_until_clear(g, host, 1, 1, 0, 60)
+        left = brute_bad_events(g, res.coloring.colors, host.graph, 1, 1)
+        assert res.degraded and res.rounds == 60
+        assert Counter(e[0] for e in left) == {"A": 2, "B": 23}
+        assert res.residual_events == len(left)
+        got = (res.coloring.colors, res.rounds, res.degraded, res.residual_events)
+        assert got == reference_resample(g, host.graph, 1, 1, 0, 60)
+
+    def test_one_full_scan_per_call(self, monkeypatch):
+        calls = []
+        scan = degree_mod.find_bad_events
+
+        def counted(*args):
+            calls.append(args[0])
+            return scan(*args)
+
+        monkeypatch.setattr(degree_mod, "find_bad_events", counted)
+        host = _host()
+        runs = [
+            (random_gnm(20, 80, 3), 1, 3, 7, 200),  # clears
+            (complete_bipartite(1, 30), 1, 1, 1, 1),  # capped at once
+            (random_gnm(30, 90, 3), 1, 1, 0, 60),  # capped, both types left
+            (complete(8), 1, 1, 0, 64),  # clears after a type-B phase
+        ]
+        for i, (g, q, t, seed, cap) in enumerate(runs, start=1):
+            res = resample_until_clear(g, host, q, t, seed, cap)
+            assert res.rounds > 0
+            assert len(calls) == i and calls[-1] is g
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -11,6 +11,7 @@ from girthforge.graph import (
     ForbiddenFamily,
     Graph,
     INFINITE,
+    MAX_VERTEX_ID,
     VertexColoring,
     bipartition,
     certify,
@@ -544,3 +545,27 @@ class TestEdgeListFormat:
             parse_edge_list("0 1\n1 2\n0 1\n")
         with pytest.raises(EdgeListParseError, match="line 1"):
             parse_edge_list("0 one\n")
+
+    def test_vertex_id_beyond_cap_rejected(self):
+        big = MAX_VERTEX_ID + 1
+        with pytest.raises(
+            EdgeListParseError, match=f"line 2: vertex id {big} exceeds MAX_VERTEX_ID"
+        ):
+            parse_edge_list(f"0 1\n{big} 3\n")
+        with pytest.raises(EdgeListParseError, match="vertex id 100000000 exceeds"):
+            parse_edge_list("100000000 0\n")
+
+    def test_vertex_id_at_cap_accepted(self, monkeypatch):
+        # the graph itself would hold 2**22 adjacency rows (about 3 s and
+        # 340 MB), so only the request the parser makes is checked
+        built = []
+        monkeypatch.setattr(
+            Graph, "from_edges", staticmethod(lambda n, edges: built.append((n, edges)))
+        )
+        parse_edge_list(f"# ids kept as given\n{MAX_VERTEX_ID} 0\n")
+        assert built == [(MAX_VERTEX_ID + 1, [(0, MAX_VERTEX_ID)])]
+
+    def test_unused_ids_stay_isolated(self):
+        g = parse_edge_list("2 5\n")
+        assert g.n == 6 and g.edges == ((2, 5),)
+        assert format_edge_list(g).splitlines()[1:] == ["2 5"]

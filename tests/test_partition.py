@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthforge.graph import Graph
 from girthforge.hosts import complete, random_gnm
 from girthforge.partition import Partition, max_kpartite
-from bruteforce import brute_max_cut_parts
+from bruteforce import brute_max_cut_parts, reference_max_kpartite
 from conftest import small_graphs
 
 
@@ -60,3 +61,23 @@ class TestMaxKPartite:
         g = complete(9)
         part, cross = max_kpartite(g, 4, 1)
         assert (4 - 1 - 1) * g.m <= (4 - 1) * cross.m
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=small_graphs(max_n=12),
+        k=st.integers(min_value=3, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_full_rescan(self, g, k, seed):
+        part, cross = max_kpartite(g, k, seed)
+        assert (part.parts, cross.edges) == reference_max_kpartite(g, k, seed)
+
+    def test_matches_full_rescan_with_many_moves(self):
+        # dense inputs make long move sequences, where a stale heap entry
+        # or a missed neighbor push would show
+        for g in (complete(12), random_gnm(40, 300, 4), random_gnm(60, 200, 8)):
+            for k in (3, 4):
+                for seed in range(5):
+                    part, cross = max_kpartite(g, k, seed)
+                    expected = reference_max_kpartite(g, k, seed)
+                    assert (part.parts, cross.edges) == expected
