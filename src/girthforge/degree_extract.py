@@ -160,12 +160,9 @@ def resample_until_clear(
     ell = host.graph.n
     rng = random.Random(seed)
     chi = VertexColoring.uniform(g.n, ell, rng)
-    type_a: set[int] = set()
     type_b: dict[int, list[int]] = {}  # vertex -> over-represented colors, ascending
     for event in find_bad_events(g, chi, host, q, t):
-        if event.tag == "A":
-            type_a.add(event.vertex)
-        else:
+        if event.tag == "B":
             type_b.setdefault(event.vertex, []).append(event.color)
     adj = g.adjacency
     host_adj = host.graph.adjacency_sets
@@ -176,6 +173,7 @@ def resample_until_clear(
     ]
     # v has a type-A event exactly when d'(v) <= cap[v] (2*ell*d' <= q*d)
     cap = [q * len(nbrs) // (2 * ell) if nbrs else -1 for nbrs in adj]
+    type_a = {v for v, d in enumerate(d_prime) if d <= cap[v]}
     dirty: set[int] = set()  # vertices whose type-B state may be stale
 
     def refresh_type_b() -> None:

@@ -1,14 +1,15 @@
 """Paired benchmark runs of two commits, kept as BENCH_<short-sha>.json.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W ...]
-        --seed S --pairs N [--seconds 20] [--out DIR] [--work DIR]
+        --seed S --pairs N [--out DIR] [--work DIR]
 
 Each commit is exported with ``git archive`` into a fresh directory of its
 own (under ``--work``, removed at the end), and the benchmark there runs
 unchanged:
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0``.
-Pairs alternate which commit runs first; one run goes at a time.  After
-the pairs, each commit gets one ``--trace 1`` run for its per-layer times.
+``python3 bench/run.py --workload W --seed S --seconds T --trace 0``,
+where T is ``run_seconds`` from ``BENCHMARK.json``.  Pairs alternate
+which commit runs first; one run goes at a time.  After the pairs, each
+commit gets one ``--trace 1`` run for its per-layer times.
 
 For each commit, ``DIR/BENCH_<short-sha>.json`` (DIR defaults to the
 repository root) holds per workload: every run's end-to-end metrics with
@@ -17,8 +18,8 @@ digest of every operation's stdout and ``--out`` sha256, and the traced
 per-layer metrics.  An existing file keeps its other workloads.  The
 summary printed at the end compares the two commits metric by metric:
 medians, quartiles, the pairs the change won, and whether the gain rule
-holds (the change wins at least 9 of 10 pairs and the medians differ by
-more than the parent's interquartile distance).
+holds (at least 10 pairs, the change wins at least 9 of every 10, and
+the medians differ by more than the parent's interquartile distance).
 """
 
 from __future__ import annotations
@@ -138,8 +139,10 @@ def compare(workload: str, parent: dict, change: dict, better: dict) -> None:
         sign = -1 if better.get(name, "lower") == "lower" else 1
         pairs = list(zip(p["runs"], c["runs"]))
         wins = sum(1 for a, b in pairs if sign * (b - a) > 0)
-        gain = wins >= 0.9 * len(pairs) and sign * (c["median"] - p["median"]) > (
-            p["q3"] - p["q1"]
+        gain = (
+            len(pairs) >= 10
+            and wins >= 0.9 * len(pairs)
+            and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
         )
         ratio = c["median"] / p["median"] if p["median"] else float("nan")
         print(
@@ -154,13 +157,13 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]  # the benchmark's run length, same for both
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", action="append", choices=workloads, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, default=ROOT)
     ap.add_argument(
         "--work", type=Path, help="where the two trees are exported (default: a temp dir)"
@@ -178,7 +181,7 @@ def main(argv=None) -> int:
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
         "seed": args.seed,
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
     }
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work))
     try:
@@ -187,21 +190,21 @@ def main(argv=None) -> int:
             runs: list[list[dict]] = [[], []]
             for i in range(args.pairs):
                 for side in (0, 1) if i % 2 == 0 else (1, 0):
-                    result = bench(trees[side], workload, args.seed, args.seconds, 0)
+                    result = bench(trees[side], workload, args.seed, seconds, 0)
                     runs[side].append(result)
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i + 1} {shorts[side]} wall_s {wall:.3f}",
                           flush=True)
             entries = []
             for side in (0, 1):
-                traced = bench(trees[side], workload, args.seed, args.seconds, 1)
+                traced = bench(trees[side], workload, args.seed, seconds, 1)
                 entry = summarize(runs[side], traced)
                 entry.update(
                     setting,
                     command=(
                         f"python3 tools/bench_pairs.py {shorts[0]} {shorts[1]}"
                         f" --workload {workload} --seed {args.seed}"
-                        f" --pairs {args.pairs} --seconds {args.seconds:g}"
+                        f" --pairs {args.pairs}"
                     ),
                     recorded=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 )
