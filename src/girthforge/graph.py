@@ -4,10 +4,12 @@ Every other module builds on :class:`Graph`.  :func:`family_girth` is the
 one search behind every certificate: it tells whether a graph is free of
 a forbidden family, with its exact girth when it is and a witness when it
 is not.  :func:`certify` is its raising form, the certification step for
-hosts and outputs.  :func:`check_family_free` answers the yes/no question
-alone, stopping at the first witness.  :func:`closes_forbidden_cycle` is
-the per-edge test that every greedy builder uses to decide which edges to
-keep.
+every host and output.  The search, :func:`girth_with_witness`, two-colors
+the graph first: a bipartite graph is certified by a C4 check and at most
+one 6-cycle instead of a BFS from every root.  :func:`check_family_free`
+answers the yes/no question alone, stopping at the first witness.
+:func:`closes_forbidden_cycle` is the per-edge test that every greedy
+builder uses to decide which edges to keep.
 """
 
 from __future__ import annotations
@@ -316,23 +318,44 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
 
 def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Two-color ``g`` if bipartite, else return None."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if side[y] == -1:
-                    side[y] = 1 - side[x]
-                    queue.append(y)
-                elif side[y] == side[x]:
-                    return None
-    part0 = tuple(v for v in range(g.n) if side[v] == 0)
-    part1 = tuple(v for v in range(g.n) if side[v] == 1)
+    coloring = _two_coloring(g)
+    if coloring is None:
+        return None
+    even = coloring[0]
+    part0 = tuple(v for v in range(g.n) if v in even)
+    part1 = tuple(v for v in range(g.n) if v not in even)
     return part0, part1
+
+
+def _two_coloring(g: Graph) -> Optional[tuple[set, int]]:
+    """``(even, components)`` when ``g`` is bipartite, else None.
+
+    ``even`` holds the vertices at an even distance from the smallest vertex
+    of their component.  A level-synchronous BFS runs from the smallest
+    unseen vertex, with one set union per level for all its neighbors.  An
+    edge inside a level (the union meets the level) closes an odd cycle;
+    otherwise every edge joins consecutive levels, and level parity is a
+    proper two-coloring.  O(n + m).
+    """
+    adj = g.adjacency
+    seen: set[int] = set()
+    even: set[int] = set()
+    components = 0
+    for s in range(g.n):
+        if s in seen:
+            continue
+        components += 1
+        level, parity = {s}, 0
+        while level:
+            seen |= level
+            if not parity:
+                even |= level
+            reach = set().union(*map(adj.__getitem__, level))
+            if not reach.isdisjoint(level):
+                return None
+            level = reach - seen
+            parity ^= 1
+    return even, components
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +363,14 @@ def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_detect(g: Graph, root: int, depth_cap: int):
+def _bfs_detect(g: Graph, root: int, depth_cap: int, stop_at: int = 0):
     """Truncated BFS from ``root`` reporting the best non-tree detection.
 
     Returns ``(value, x, y, parent, depth)`` where value is
     ``depth[x] + depth[y] + 1`` minimized over non-tree edges (x, y) scanned
     while expanding vertices of depth < depth_cap, or None if none found.
     A detection value bounds the length of a genuine simple cycle from above.
+    The first detection of value <= ``stop_at`` is returned at once.
     """
     parent = {root: -1}
     depth = {root: 0}
@@ -368,6 +392,8 @@ def _bfs_detect(g: Graph, root: int, depth_cap: int):
                 queue.append(y)
             elif y != parent[x]:
                 value = dx + dy + 1
+                if value <= stop_at:
+                    return value, x, y, parent, depth
                 if best is None or value < best[0]:
                     best = (value, x, y)
     if best is None:
@@ -394,51 +420,40 @@ def _witness_from_detection(x: int, y: int, parent: dict) -> CycleWitness:
     return CycleWitness(tuple(cycle))
 
 
-def _component_count(g: Graph) -> int:
-    seen = [False] * g.n
-    count = 0
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        stack = [s]
-        while stack:
-            for y in g.adjacency[stack.pop()]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return count
-
-
-def _is_forest(g: Graph) -> bool:
-    """O(n + m): a graph is a forest exactly when m = n minus the number of
-    components (m is never smaller)."""
-    return g.m <= g.n - _component_count(g)
-
-
 def girth_with_witness(
     g: Graph, stop_at: int = 3
 ) -> tuple[GirthValue, Optional[CycleWitness]]:
-    """Girth with a shortest-cycle witness (BFS from every vertex).
+    """Girth with a shortest-cycle witness.
 
-    Per root, BFS is truncated at half the current best bound; the minimum
-    detection over all roots equals the girth.  A forest is answered in
-    O(n + m) by :func:`_is_forest`, without the BFS.
+    One two-coloring pass (:func:`_two_coloring`) comes first.  A
+    bipartite graph is a forest exactly when m <= n - components, and is
+    answered in O(n + m).  A bipartite graph has no odd cycle, so a C4 from
+    :func:`_find_c4` is a shortest cycle, and without one every cycle has
+    length >= 6, so a 6-cycle is shortest too: ``stop_at`` is raised to 6.
 
-    The scan stops once a cycle of length <= ``stop_at`` is found.  With
-    the default 3 nothing shorter exists, so the girth is always exact.
-    With ``stop_at`` = L a result above L is the exact girth, and a result
-    of at most L is the length of the witness, a cycle of that length,
-    which need not be a shortest one.
+    Then a BFS runs from every vertex in turn, truncated at half the
+    current best bound; the minimum detection over all roots equals the
+    girth.
+    The scan stops at the first cycle of length <= ``stop_at``.  With the
+    default 3 nothing shorter exists, so the girth is always exact.  With
+    ``stop_at`` = L a result above L is the exact girth, and a result of at
+    most L is the length of the witness, a cycle of that length, which need
+    not be a shortest one.
     """
-    if _is_forest(g):
-        return INFINITE, None
+    coloring = _two_coloring(g)
+    if coloring is not None:
+        if g.m <= g.n - coloring[1]:
+            return INFINITE, None
+        witness = _find_c4(g)
+        if witness is not None:
+            witness.validate(g)
+            return 4, witness
+        stop_at = max(stop_at, 6)
     best: GirthValue = INFINITE
     best_witness: Optional[CycleWitness] = None
     for root in range(g.n):
         cap = g.n if isinstance(best, _InfiniteGirth) else (best + 1) // 2
-        hit = _bfs_detect(g, root, cap)
+        hit = _bfs_detect(g, root, cap, stop_at)
         if hit is None:
             continue
         value, x, y, parent, _ = hit
@@ -462,12 +477,13 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
     """Any simple cycle of length <= bound, or None.
 
     Complete: a cycle of length c <= bound is detected from any of its
-    vertices by a BFS truncated at depth ceil(c/2).  A forest is answered
-    in O(n + m) by :func:`_is_forest`, without the BFS.
+    vertices by a BFS truncated at depth ceil(c/2).  A forest (bipartite
+    with m <= n - components) is answered in O(n + m), without the BFS.
     """
     if bound < 3:
         raise ValueError("cycle bound must be >= 3")
-    if _is_forest(g):
+    coloring = _two_coloring(g)
+    if coloring is not None and g.m <= g.n - coloring[1]:
         return None
     cap = (bound + 1) // 2
     for root in range(g.n):
@@ -625,7 +641,7 @@ def find_short_even_cycle(g: Graph, bound: int) -> Optional[CycleWitness]:
         return witness
     if bound == 4:
         return None
-    if bipartition(g) is not None:
+    if _two_coloring(g) is not None:
         # every cycle is even; plain short-cycle BFS covers lengths 6..bound
         return find_cycle_up_to(g, bound)
     for half in range(3, bound // 2 + 1):
@@ -639,9 +655,16 @@ def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
     """Whether ``g`` is free of ``fam``, with a validated witness if not.
 
     The search stops at the first forbidden cycle and computes no girth;
-    :func:`family_girth` adds the girth of a free graph.
+    :func:`family_girth` adds the girth of a free graph.  ``all:L`` with
+    L <= 5 is answered free at once for a bipartite graph without a C4
+    (no odd cycle, and no even cycle shorter than 6).  Every other case,
+    and every graph that fails, runs :func:`find_cycle_up_to` (``all:L``)
+    or :func:`find_short_even_cycle` (``even:2r``), whose witness is
+    reported.
     """
     if fam.kind == "all":
+        if fam.bound <= 5 and _two_coloring(g) is not None and _find_c4(g) is None:
+            return Verdict(free=True)
         witness = find_cycle_up_to(g, fam.bound)
     else:
         witness = find_short_even_cycle(g, fam.bound)
@@ -662,18 +685,17 @@ def family_girth(
     """``(girth, None)`` when ``g`` is free of ``fam``, else ``(None,
     witness)`` with a validated witness in ``fam``.
 
-    One search gives both answers.  For ``all:L`` it is one
-    :func:`girth_with_witness` search that stops at the first cycle of
-    length <= L: ``g`` is free exactly when its girth exceeds L, and a
-    graph that fails costs no more than the roots up to that cycle.  For
-    ``even:2r`` :func:`check_family_free` runs first, then :func:`girth`
-    on a free graph.
+    One search gives both answers: :func:`girth_with_witness` stopping at
+    the first cycle of length <= the family's bound.  ``g`` is free exactly
+    when its girth exceeds the bound, and a cycle it stops at is in the
+    family unless it is odd under ``even:2r``.  Only then, which needs an
+    odd cycle and so a non-bipartite graph, :func:`check_family_free` runs,
+    and :func:`girth` on a free graph.
     """
-    if fam.kind == "all":
-        value, witness = girth_with_witness(g, stop_at=fam.bound)
-        if value > fam.bound:
-            return value, None
-    else:
+    value, witness = girth_with_witness(g, stop_at=fam.bound)
+    if value > fam.bound:
+        return value, None
+    if not fam.matches(witness.length):
         witness = check_family_free(g, fam).witness
         if witness is None:
             return girth(g), None

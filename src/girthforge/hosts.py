@@ -2,8 +2,10 @@
 
 Hosts are the fixed graphs that vertex labelings embed into; every host
 carries a verified certificate (forbidden-family freeness, exact girth,
-minimum degree).  Construction aborts if verification fails.  The three
-host constructors are the only memoized functions, each by a bounded cache.
+minimum degree).  Every host, the PG(2,q) incidence graph included, is
+certified by the same :func:`graph.certify` search as every output, and
+construction aborts if it fails.  The three host constructors are the only
+memoized functions, each by a bounded cache.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from typing import Optional
 
 from .graph import (
     CertificationError,
-    CycleWitness,
     ForbiddenFamily,
     Graph,
     GirthValue,
     certify,
-    check_family_free,
     closes_forbidden_cycle,
     girth,
     induced_subgraph,
@@ -75,25 +75,18 @@ def certify_host(
     label: str,
     parts=None,
     degraded: bool = False,
-    known_girth: Optional[GirthValue] = None,
 ) -> HostGraph:
     """Certify ``graph`` and assemble its HostGraph; raises
     CertificationError on failure.
 
-    The only place a host is certified.  The family check and the girth
-    come from one :func:`graph.certify` call (or :func:`girth` alone when
-    nothing is forbidden).  A construction that proves its girth by other
-    means passes ``known_girth``, and only the family is checked.
+    The only place a host is certified.  The family check and the exact
+    girth come from one :func:`graph.certify` call (or :func:`girth` alone
+    when nothing is forbidden), the same search every output goes through.
     """
-    what = f"host {label!r}"
-    if known_girth is not None:
-        if family is not None and not check_family_free(graph, family).free:
-            raise CertificationError(f"{what} contains a cycle of {family.describe()}")
-        g_val = known_girth
-    elif family is not None:
-        g_val = certify(graph, family, what)
-    else:
+    if family is None:
         g_val = girth(graph)
+    else:
+        g_val = certify(graph, family, f"host {label!r}")
     return HostGraph(
         graph=graph,
         certified_family=family,
@@ -206,10 +199,10 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     """Point-line incidence graph of PG(2,q): bipartite, (q+1)-regular, girth 6.
 
     Point i is joined to line n + j (n = q^2+q+1, lines dual to points)
-    when x_i . x_j == 0 (mod q).  The exact girth is certified without a
-    girth scan: every edge is checked to join the two parts, the one C4
-    check (the even:4 family in :func:`certify_host`) rules out 4-cycles,
-    and an exhibited 6-cycle pins the girth at 6.
+    when x_i . x_j == 0 (mod q).  The regularity is checked here, and the
+    even:4 family and the exact girth come from the one :func:`certify_host`
+    call that every host makes: the graph two-colors, has no C4, and the
+    first 6-cycle found fixes the girth at 6.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -227,40 +220,7 @@ def incidence_graph_pg2(q: int) -> HostGraph:
         ForbiddenFamily.even_cycles_up_to(4),
         label=f"incidence_pg2(q={q})",
         parts=parts,
-        known_girth=_bipartite_girth_six(graph, parts),
     )
-
-
-def _bipartite_girth_six(graph: Graph, parts) -> int:
-    """Girth exactly 6 for a C4-free graph with the bipartition ``parts``.
-
-    ``parts`` is checked to partition the vertices, and no vertex to have
-    a neighbor on its own side, in O(n + m); so every edge joins the two
-    sides and the graph has no odd cycle.  A 6-cycle is then built from
-    vertex 0: its two smallest neighbors l1 < l2, the smallest other
-    neighbor p1 of l1 and p2 of l2, and the smallest common neighbor of p1
-    and p2.  It is checked by :meth:`CycleWitness.validate`, and any
-    failure raises CertificationError.
-
-    C4-freeness is not checked here.  The caller passes the result to
-    :func:`certify_host` with the even:4 family, and that check raises before
-    any host is returned if the graph has a C4.
-    """
-    sides = [frozenset(part) for part in parts]
-    if sides[0] | sides[1] != frozenset(range(graph.n)) or sum(map(len, parts)) != graph.n:
-        raise CertificationError("parts do not partition the vertex set")
-    adj = graph.adjacency
-    if any(not side.isdisjoint(adj[v]) for side in sides for v in side):
-        raise CertificationError("an edge lies inside one part")
-    try:
-        l1, l2 = adj[0][:2]
-        p1 = next(p for p in adj[l1] if p != 0)
-        p2 = next(p for p in adj[l2] if p != 0)
-        l3 = min(graph.adjacency_sets[p1] & graph.adjacency_sets[p2])
-    except (IndexError, StopIteration, ValueError):
-        raise CertificationError("no 6-cycle exhibited from vertex 0") from None
-    CycleWitness((0, l1, p1, l3, p2, l2)).validate(graph)
-    return 6
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,31 @@ def small_graphs(draw, max_n=8, max_m=None):
     return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
 
 
+def heawood():
+    """The Heawood graph, the point-line incidence graph of PG(2,2): cubic,
+    bipartite (even and odd vertices), girth 6, from its LCF notation
+    [5, -5]^7."""
+    edges = [(i, (i + 1) % 14) for i in range(14)]
+    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return Graph.from_edges(14, edges)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Random edge subsets of K_{a,b} (a, b <= 4) or of the Heawood graph,
+    the whole Heawood graph among them.  Unlike :func:`small_graphs` these
+    often hold cycles and no C4."""
+    if draw(st.booleans()):
+        a = draw(st.integers(min_value=1, max_value=4))
+        b = draw(st.integers(min_value=1, max_value=4))
+        base = Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    else:
+        base = heawood()
+    keep = draw(st.sampled_from([0.5, 0.75, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return Graph.from_edges(base.n, [e for e in base.edges if rng.random() < keep])
+
+
 @contextlib.contextmanager
 def each_graph_searched_once(extractor_mod):
     """Record, by object, the graphs passed to ``check_family_free``,

@@ -95,7 +95,7 @@ class TestAcceptance:
 
     def test_2_girth_guarantee(self):
         budget, start = 180.0, time.monotonic()
-        runs = violations = degraded = 0
+        runs = violations = degraded_trials = 0
         graphs = _corpus(200)
         for r in (2, 3):
             for gi, g in enumerate(graphs):
@@ -104,9 +104,8 @@ class TestAcceptance:
                         g, r, 2000 * gi + s, 1, max_rounds=12
                     )
                     runs += 1
-                    if rep.extras["degraded"]:
-                        degraded += 1
-                        continue
+                    # one trial per run; a degraded output is checked too
+                    degraded_trials += rep.extras["degraded_trials"]
                     gv = girth(out)
                     if not (gv == INFINITE or gv >= 2 * r + 2):
                         violations += 1
@@ -114,7 +113,7 @@ class TestAcceptance:
         ok = runs >= 300 and violations == 0 and elapsed < budget
         _report(2, "girth-guarantee", ok,
                 f"{runs} runs, {violations} violations, "
-                f"degraded rate {degraded / runs:.2%}", elapsed, budget)
+                f"degraded trial rate {degraded_trials / runs:.2%}", elapsed, budget)
         assert runs >= 300 and violations == 0
         assert elapsed < budget
 

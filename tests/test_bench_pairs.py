@@ -1,0 +1,60 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _spread(runs):
+    return bench_pairs.spread(list(runs))
+
+
+def _entry(runs):
+    """A one-metric BENCH_*.json workload entry."""
+    return {
+        "output_digests": ["x"],
+        "failed": [0],
+        "end_to_end": {"wall_s": {"unit": "s", **_spread(runs)}},
+    }
+
+
+class TestJudge:
+    @pytest.mark.parametrize(
+        "parent, change, better, bound, regression",
+        [
+            ([10.0] * 10, [12.4] * 10, "lower", 0.25, False),  # 24 % slower
+            ([10.0] * 10, [12.6] * 10, "lower", 0.25, True),  # 26 % slower
+            ([100.0] * 10, [96.0] * 10, "higher", 0.05, False),  # 4 % fewer
+            ([100.0] * 10, [94.0] * 10, "higher", 0.05, True),  # 6 % fewer
+            ([10.0] * 10, [5.0] * 10, "lower", 0.25, False),  # faster
+            ([100.0] * 10, [200.0] * 10, "higher", 0.05, False),  # more
+        ],
+    )
+    def test_regression_against_bound(self, parent, change, better, bound, regression):
+        got = bench_pairs.judge(_spread(parent), _spread(change), better, bound)
+        assert got[2] is regression
+
+    def test_regression_uses_medians(self):
+        # one slow outlier in the change does not move its median
+        parent = _spread([10.0] * 10)
+        change = _spread([10.0] * 9 + [100.0])
+        assert bench_pairs.judge(parent, change, "lower", 0.25)[2] is False
+
+    def test_gain_rule_needs_ten_pairs(self):
+        parent, change = [10.0 + i / 10 for i in range(9)], [5.0] * 9
+        wins, gain, _ = bench_pairs.judge(_spread(parent), _spread(change), "lower", 0.25)
+        assert (wins, gain) == (9, False)
+        parent.append(10.5)
+        change.append(5.0)
+        wins, gain, _ = bench_pairs.judge(_spread(parent), _spread(change), "lower", 0.25)
+        assert (wins, gain) == (10, True)
+
+    def test_compare_prints_each_verdict(self, capsys):
+        metrics = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25}}
+        bench_pairs.compare("w", _entry([1.0] * 10), _entry([1.3] * 10), metrics)
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert "gain rule not met" in line and "REGRESSION (bound 25%)" in line

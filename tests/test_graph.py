@@ -12,6 +12,7 @@ from girthforge.graph import (
     Graph,
     INFINITE,
     MAX_VERTEX_ID,
+    Verdict,
     VertexColoring,
     bipartition,
     certify,
@@ -29,6 +30,7 @@ from girthforge.graph import (
     parse_edge_list,
 )
 from girthforge import graph as graph_mod
+from girthforge.hosts import incidence_graph_pg2
 from bruteforce import (
     brute_girth,
     brute_smallest_shared_pair,
@@ -37,7 +39,7 @@ from bruteforce import (
     has_forbidden,
     reference_from_edges,
 )
-from conftest import small_graphs
+from conftest import bipartite_graphs, heawood, small_graphs
 
 
 def cycle_graph(n):
@@ -340,6 +342,14 @@ class TestEvenCycleSearch:
                 assert w.length == expected
 
 
+def _assert_check_matches_bruteforce(g, fam):
+    verdict = check_family_free(g, fam)
+    assert verdict.free == (not has_forbidden(g, fam.kind, fam.bound))
+    if not verdict.free:
+        verdict.witness.validate(g)
+        assert fam.matches(verdict.witness.length)
+
+
 class TestFamily:
     def test_parse(self):
         fam = ForbiddenFamily.parse("even:4")
@@ -360,12 +370,18 @@ class TestFamily:
     @given(small_graphs())
     def test_check_matches_bruteforce(self, g):
         for kind, bound in (("even", 4), ("even", 6), ("all", 5)):
-            fam = ForbiddenFamily(kind, bound)
-            verdict = check_family_free(g, fam)
-            assert verdict.free == (not has_forbidden(g, kind, bound))
-            if not verdict.free:
-                verdict.witness.validate(g)
-                assert fam.matches(verdict.witness.length)
+            _assert_check_matches_bruteforce(g, ForbiddenFamily(kind, bound))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs())
+    def test_check_matches_bruteforce_on_bipartite_graphs(self, g):
+        for fam in EDGE_TEST_FAMILIES:
+            _assert_check_matches_bruteforce(g, fam)
+
+    def test_bipartite_c4_free_graph_is_all5_free_without_bfs(self):
+        g = incidence_graph_pg2(3).graph
+        with mock.patch.object(graph_mod, "find_cycle_up_to", side_effect=AssertionError):
+            assert check_family_free(g, ForbiddenFamily("all", 5)) == Verdict(free=True)
 
 
 EDGE_TEST_FAMILIES = [ForbiddenFamily("even", b) for b in (4, 6, 8, 10)] + [
@@ -374,23 +390,55 @@ EDGE_TEST_FAMILIES = [ForbiddenFamily("even", b) for b in (4, 6, 8, 10)] + [
 
 
 
+def _assert_certify_matches_bruteforce(g):
+    expected_girth = brute_girth(g)
+    if expected_girth is None:
+        expected_girth = INFINITE
+    assert girth(g) == expected_girth
+    for fam in EDGE_TEST_FAMILIES:
+        value, witness = family_girth(g, fam)
+        if has_forbidden(g, fam.kind, fam.bound):
+            witness.validate(g)
+            assert fam.matches(witness.length)
+            with pytest.raises(CertificationError, match="subject"):
+                certify(g, fam, "subject")
+        else:
+            assert (value, witness) == (expected_girth, None)
+            assert certify(g, fam, "subject") == expected_girth
+
+
 class TestCertify:
     @settings(max_examples=150, deadline=None)
     @given(small_graphs())
     def test_matches_bruteforce(self, g):
-        expected_girth = brute_girth(g)
-        if expected_girth is None:
-            expected_girth = INFINITE
-        for fam in EDGE_TEST_FAMILIES:
-            value, witness = family_girth(g, fam)
-            if has_forbidden(g, fam.kind, fam.bound):
-                witness.validate(g)
-                assert fam.matches(witness.length)
-                with pytest.raises(CertificationError, match="subject"):
-                    certify(g, fam, "subject")
-            else:
-                assert (value, witness) == (expected_girth, None)
-                assert certify(g, fam, "subject") == expected_girth
+        _assert_certify_matches_bruteforce(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs())
+    def test_matches_bruteforce_on_bipartite_graphs(self, g):
+        assert bipartition(g) is not None
+        _assert_certify_matches_bruteforce(g)
+
+    @pytest.mark.parametrize(
+        "g, bound, expected",
+        [
+            (heawood(), 4, 6),
+            (cycle_graph(8), 6, 8),
+            # C8 and C6 apart: the first root meets the 8-cycle, not the girth
+            (Graph.from_edges(14, [(i, (i + 1) % 8) for i in range(8)]
+                              + [(8 + i, 8 + (i + 1) % 6) for i in range(6)]), 4, 6),
+        ],
+        ids=["heawood-even4", "C8-even6", "C8+C6-even4"],
+    )
+    def test_bipartite_even_family_runs_one_girth_search(self, g, bound, expected):
+        # no even-cycle search and no second girth search on a bipartite graph
+        with mock.patch.object(
+            graph_mod, "girth_with_witness", wraps=graph_mod.girth_with_witness
+        ) as search, mock.patch.object(
+            graph_mod, "find_short_even_cycle", side_effect=AssertionError
+        ):
+            assert certify(g, ForbiddenFamily("even", bound), "bipartite") == expected
+        assert search.call_count == 1
 
     def test_all_family_runs_one_girth_search(self):
         # the family check and the girth come from the same search

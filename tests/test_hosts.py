@@ -103,33 +103,25 @@ class TestOrthogonalPairs:
 
 
 class TestIncidenceCertificate:
-    def test_rejects_edge_inside_a_part(self):
-        host = incidence_graph_pg2(2)
-        graph = Graph.from_edges(host.order, list(host.graph.edges) + [(0, 1)])
-        with pytest.raises(CertificationError, match="inside one part"):
-            hosts_mod._bipartite_girth_six(graph, host.parts)
-
-    def test_rejects_parts_that_miss_a_vertex(self):
-        host = incidence_graph_pg2(2)
-        a, b = host.parts
-        with pytest.raises(CertificationError, match="partition"):
-            hosts_mod._bipartite_girth_six(host.graph, (a, b[:-1]))
-
     @pytest.mark.parametrize(
-        "edges",
+        "edges, expected",
         [
-            [(i, (i + 1) % 8) for i in range(8)],  # C8
-            [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)],  # a tree
-            # K_{2,3}: the construction meets the same point twice, and the
-            # witness check rejects it
-            [(i, 2 + j) for i in range(2) for j in range(3)],
+            ([(i, (i + 1) % 8) for i in range(8)], 8),  # C8
+            ([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], INFINITE),  # a tree
+            ([(i, 2 + j) for i in range(2) for j in range(3)], None),  # K_{2,3}
         ],
         ids=["C8", "tree", "K23"],
     )
-    def test_no_six_cycle_raises(self, edges):
+    def test_bipartite_host_certified_by_the_common_search(self, edges, expected):
+        # the incidence host's path: even:4 on a bipartite graph with parts
         graph = Graph.from_edges(1 + max(max(e) for e in edges), edges)
-        with pytest.raises(CertificationError):
-            hosts_mod._bipartite_girth_six(graph, bipartition(graph))
+        fam = ForbiddenFamily("even", 4)
+        if expected is None:
+            with pytest.raises(CertificationError, match="length 4"):
+                hosts_mod.certify_host(graph, fam, "K23", parts=bipartition(graph))
+        else:
+            host = hosts_mod.certify_host(graph, fam, "bip", parts=bipartition(graph))
+            assert host.certified_girth == expected
 
     def test_dropped_pair_rejected(self):
         real = hosts_mod._pg2_orthogonal_pairs
@@ -226,6 +218,18 @@ class TestPruneAndDense:
         assert len(parts[0]) == 5 and len(parts[1]) == 13
         sa = set(parts[0])
         assert all((u in sa) != (v in sa) for u, v in trimmed.edges)
+
+    def test_bipartite_trim_rejects_parts_that_miss_a_vertex(self):
+        host = incidence_graph_pg2(2)
+        a, b = host.parts
+        with pytest.raises(ValueError, match="parts do not partition the vertex set"):
+            bipartite_trim(host.graph, (a, b[:-1]), 1)
+
+    def test_bipartite_trim_rejects_edge_inside_a_part(self):
+        host = incidence_graph_pg2(2)
+        graph = Graph.from_edges(host.order, list(host.graph.edges) + [(0, 1)])
+        with pytest.raises(ValueError, match="not bipartite with the given parts"):
+            bipartite_trim(graph, host.parts, 1)
 
 
 class TestCaches:

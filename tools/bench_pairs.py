@@ -17,9 +17,12 @@ their median and quartiles, the attempted and failed operation counts, a
 digest of every operation's stdout and ``--out`` sha256, and the traced
 per-layer metrics.  An existing file keeps its other workloads.  The
 summary printed at the end compares the two commits metric by metric:
-medians, quartiles, the pairs the change won, and whether the gain rule
+medians, quartiles, the pairs the change won, whether the gain rule
 holds (at least 10 pairs, the change wins at least 9 of every 10, and
-the medians differ by more than the parent's interquartile distance).
+the medians differ by more than the parent's interquartile distance),
+and whether the change regressed (its median is worse than the parent's
+by more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction
+of the parent's median).
 """
 
 from __future__ import annotations
@@ -129,34 +132,54 @@ def write_bench(out_dir: Path, short: str, sha: str, workload: str, entry: dict)
     return path
 
 
-def compare(workload: str, parent: dict, change: dict, better: dict) -> None:
-    """Print each end-to-end metric: medians, quartiles, pairs won, gain rule."""
+def judge(p: dict, c: dict, better: str, bound: float) -> tuple[int, bool, bool]:
+    """``(pairs won, gain, regression)`` for one metric, from the parent's
+    and the change's :func:`spread`.
+
+    The gain rule holds when there are at least 10 pairs, the change wins at
+    least 9 of every 10 (ties count for neither side), and the medians
+    differ by more than the parent's interquartile distance.  A regression
+    is a change median worse than the parent median by more than ``bound``
+    times the parent median.
+    """
+    sign = -1 if better == "lower" else 1
+    pairs = list(zip(p["runs"], c["runs"]))
+    wins = sum(1 for a, b in pairs if sign * (b - a) > 0)
+    gain = (
+        len(pairs) >= 10
+        and wins >= 0.9 * len(pairs)
+        and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
+    )
+    regression = sign * (p["median"] - c["median"]) > bound * abs(p["median"])
+    return wins, gain, regression
+
+
+def compare(workload: str, parent: dict, change: dict, metrics: dict) -> None:
+    """Print each end-to-end metric: medians, quartiles, pairs won, the gain
+    rule and the no-regression verdict against the metric's ``bound`` in
+    ``metrics`` (BENCHMARK.json's end-to-end entries by name)."""
     print(f"\n{workload}: parent -> change, median [q1, q3], pairs won by the change")
     same = parent["output_digests"] == change["output_digests"]
     print(f"  outputs identical: {same}; failed {parent['failed']} -> {change['failed']}")
     for name, p in parent["end_to_end"].items():
         c = change["end_to_end"][name]
-        sign = -1 if better.get(name, "lower") == "lower" else 1
-        pairs = list(zip(p["runs"], c["runs"]))
-        wins = sum(1 for a, b in pairs if sign * (b - a) > 0)
-        gain = (
-            len(pairs) >= 10
-            and wins >= 0.9 * len(pairs)
-            and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
-        )
+        spec = metrics[name]
+        wins, gain, regression = judge(p, c, spec["better"], spec["bound"])
         ratio = c["median"] / p["median"] if p["median"] else float("nan")
         print(
             f"  {name:18s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
             f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {p['unit']}"
-            f"  x{ratio:.3f}  won {wins}/{len(pairs)}"
+            f"  x{ratio:.3f}  won {wins}/{len(p['runs'])}"
             f"  gain rule {'met' if gain else 'not met'}"
+            f"  {'REGRESSION' if regression else 'no regression'}"
+            f" (bound {spec['bound']:.0%})"
         )
 
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]  # the benchmark's run length, same for both
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -211,7 +234,7 @@ def main(argv=None) -> int:
                 entries.append(entry)
                 path = write_bench(args.out, shorts[side], shas[side], workload, entry)
                 print(f"wrote {path}", flush=True)
-            compare(workload, *entries, better)
+            compare(workload, *entries, metrics)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
