@@ -4,10 +4,11 @@ Each digest was recorded at the commit before the code it guards was
 rewritten (the forbidden-cycle engine; the resampler, the C4 certificate
 and the projective hosts; the closed-form host lines and
 ``Graph.from_edges``; the one certification step and the ``sweep`` rows
-that read it; the case-1 host cache and trial loop), so any change to a greedy decision, a resampling
-step, a witness, a report field or an output file shows up here as a
-digest mismatch.  Inputs are built inside the test from stdlib
-``random`` so they do not depend on the package's own generators.
+that read it; the case-1 host cache and trial loop; the infinite girth of
+a forest), so any change to a greedy decision, a resampling step, a
+witness, a report field or an output file shows up here as a digest
+mismatch.  Inputs are built inside the test from stdlib ``random`` so they
+do not depend on the package's own generators.
 """
 
 import contextlib
@@ -225,4 +226,55 @@ def test_sweep_digests(mode, tmp_path):
     argv = ["sweep", "--mode", mode, "--seed", "5"] + flags
     code, stdout, out = _run(argv, tmp_path / "sweep.csv")
     assert code == 0
+    assert (_sha(stdout), _sha(out)) == (digest, digest)
+
+
+# The forest path: every girth field below is infinite, in the JSON, the
+# host's .meta and the sweep CSV.
+TREE = "0 1\n1 2\n1 3\n3 4\n"
+
+
+def test_forest_host_digests(tmp_path):
+    argv = ["host", "build", "--kind", "greedy", "--n", "5", "--girth", "5",
+            "--seed", "0"]
+    out_path = tmp_path / "host.edges"
+    code, stdout, out = _run(argv, out_path)
+    meta = (tmp_path / "host.edges.meta").read_text()
+    assert code == 0
+    assert (_sha(stdout), _sha(out), _sha(meta)) == (
+        "825b23fb927600ccf100cdbec3d226b371886575f57d0f7e6f15b3c3e835fa4d",
+        "5a3d9a744524b3c1cb71c7c6c664110b4c295c96134220e2dd8d313d74e78601",
+        "5a892d7af3fbcfaf3e946693a44460cd729c93fd6afb446e4ad8333950114e56",
+    )
+
+
+def test_forest_verify_digest(tmp_path):
+    path = tmp_path / "tree.edges"
+    path.write_text(TREE)
+    argv = ["verify", "--family", "even:4", "--in", str(path)]
+    code, stdout, out = _run(argv, tmp_path / "verify.json")
+    assert code == 0
+    digest = "644f52af8551df323322e71e00a362cb8b0694994364023a42e20d1f4a63e5a6"
+    assert (_sha(stdout), _sha(out)) == (digest, digest)
+
+
+def test_forest_extract_degree_digests(tmp_path):
+    path = tmp_path / "tree.edges"
+    path.write_text(TREE)
+    argv = ["extract", "degree", "--r", "2", "--trials", "1", "--seed", "1",
+            "--in", str(path)]
+    code, stdout, out = _run(argv, tmp_path / "out.edges")
+    assert code == 0
+    assert (_sha(stdout), _sha(out)) == (
+        "e1c0cf6a7747811aa8130f665d4a4d9e3ffbc96b045c3b63960a7e758068d4d7",
+        "d36e97be366d3a8816b230dce5c94eb6b5bd030ef95edca78d7821fb0238bcd8",
+    )
+
+
+def test_forest_sweep_digest(tmp_path):
+    argv = ["sweep", "--mode", "h", "--family-input", "star", "--n", "4:7:1",
+            "--trials", "1", "--seed", "1"]
+    code, stdout, out = _run(argv, tmp_path / "sweep.csv")
+    assert code == 0
+    digest = "0a2af07acbef75fd3343903e6bfdce6cf0b38b9eddf65cf984d07cd3ae9bfe16"
     assert (_sha(stdout), _sha(out)) == (digest, digest)
