@@ -17,12 +17,12 @@ from typing import Optional
 
 from .graph import (
     ForbiddenFamily,
-    GirthValue,
     Graph,
     VertexColoring,
     certify,
     edge_subgraph,
     family_girth,
+    girth_json,
 )
 from .edge_extract import h_prime, spanning_forest
 from .hosts import (
@@ -33,7 +33,7 @@ from .hosts import (
     incidence_graph_pg2,
     smallest_prime_with_plane_order,
 )
-from .report import ExtractionReport, girth_json
+from .report import ExtractionReport
 from .seeds import mix
 
 _SALT_WEIGHTS = 515
@@ -242,6 +242,11 @@ def edge_retention(
 ) -> Graph:
     """Keep, per color-class pair, the locally weight-minimal edges.
 
+    An edge uv belongs to two groups: the edges at u, and those at v,
+    between the same two color classes.  :meth:`EdgeWeights.key` is a
+    strict order, so an edge beats every rival exactly when it is the
+    lightest of both groups; one pass finds each group's lightest edge.
+
     Requires chi proper on the input.  The output restricted to any two
     color classes is a matching; combined with a host of girth >= 2r+2
     upstream this forces output girth >= 2r+2 (certified by the caller).
@@ -251,26 +256,18 @@ def edge_retention(
     if not chi.is_proper_on(h_prime_graph):
         raise ValueError("coloring is not proper on the input graph")
     colors = chi.colors
-    edges = h_prime_graph.edges
-
-    def pair_key(i: int):
-        u, v = edges[i]
+    groups = []  # per edge, its (vertex, class pair) group at each end
+    lightest: dict[tuple[int, int, int], int] = {}
+    for i, (u, v) in enumerate(h_prime_graph.edges):
         cu, cv = colors[u], colors[v]
-        return (cu, cv) if cu < cv else (cv, cu)
-
-    # edge index lists per (vertex, class pair)
-    incident: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    for i, (u, v) in enumerate(edges):
-        pk = pair_key(i)
-        incident.setdefault((u, pk), []).append(i)
-        incident.setdefault((v, pk), []).append(i)
-    kept = []
-    for i, (u, v) in enumerate(edges):
-        pk = pair_key(i)
-        my = weights.key(i)
-        rivals = incident[(u, pk)] + incident[(v, pk)]
-        if all(j == i or weights.key(j) > my for j in rivals):
-            kept.append(i)
+        pair = (cu, cv) if cu < cv else (cv, cu)
+        ends = ((u,) + pair, (v,) + pair)
+        groups.append(ends)
+        for group in ends:
+            j = lightest.get(group)
+            if j is None or weights.key(i) < weights.key(j):
+                lightest[group] = i
+    kept = [i for i, (a, b) in enumerate(groups) if lightest[a] == i == lightest[b]]
     return edge_subgraph(h_prime_graph, kept)
 
 
@@ -322,7 +319,7 @@ def extract_spanning_high_girth(
     delta_max = g.max_degree()
 
     # (min degree, edges, graph, meta, certified girth)
-    candidates: list[tuple[int, int, Graph, dict, GirthValue]] = []
+    candidates: list[tuple[int, int, Graph, dict, float]] = []
 
     def add(graph: Graph, meta: dict) -> None:
         value = certify(graph, fam, f"{meta['method']} candidate")
@@ -339,13 +336,13 @@ def extract_spanning_high_girth(
 
     host_meta: dict = {}
     degraded_trials = 0
-    if g.m > 0 and delta_max >= 1:
+    if g.m > 0:
         k_raw = math.ceil(2 * math.e**4 * delta_max)
         k = min(k_raw, HOST_ORDER_CAP // 2)
         kq = _quantize(k)
         host = _degree_host(kq, r)
         capped = k < k_raw or host.order < 2 * kq
-        t = max(1, math.ceil(math.log(delta_max))) if delta_max > 1 else 1
+        t = max(1, math.ceil(math.log(delta_max)))
         q = max(1, host.min_degree)
         ell = host.order
         host_meta = {

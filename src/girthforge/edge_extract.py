@@ -18,7 +18,6 @@ from typing import Optional
 
 from .graph import (
     ForbiddenFamily,
-    GirthValue,
     Graph,
     VertexColoring,
     certify,
@@ -375,7 +374,7 @@ def extract_even_cycle_free(
         work = g
 
     # (graph, method, certified girth or None when not yet certified)
-    candidates: list[tuple[Graph, str, Optional[GirthValue]]] = []
+    candidates: list[tuple[Graph, str, Optional[float]]] = []
     value, witness = family_girth(work, fam)
     if witness is None:
         candidates.append((work, "identity", value))

@@ -10,6 +10,9 @@ one 6-cycle instead of a BFS from every root.  :func:`check_family_free`
 answers the yes/no question alone, stopping at the first witness.
 :func:`closes_forbidden_cycle` is the per-edge test that every greedy
 builder uses to decide which edges to keep.
+
+A girth is a plain number: an int, or :data:`INFINITE` (``math.inf``) for
+a forest.  :func:`girth_json` is its one text form.
 """
 
 from __future__ import annotations
@@ -30,45 +33,16 @@ class CertificationError(RuntimeError):
     """An output that must be certificate-clean failed verification."""
 
 
-class _InfiniteGirth:
-    """Sentinel for the girth of an acyclic graph.
-
-    Compares greater than every integer so that bounds like
-    ``girth(g) >= 2 * r + 2`` read naturally.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _InfiniteGirth)
-
-    def __hash__(self) -> int:
-        return hash("girthforge-infinite")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _InfiniteGirth)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _InfiniteGirth)
+# The girth of an acyclic graph.  Girths are plain numbers (an int, or this
+# float), so bounds like ``girth(g) >= 2 * r + 2`` read naturally.
+INFINITE = math.inf
 
 
-INFINITE = _InfiniteGirth()
-
-GirthValue = Union[int, _InfiniteGirth]
+def girth_json(value: float):
+    """The one text form of a girth: an int as itself, :data:`INFINITE` as
+    'Infinite'.  JSON has no infinity, so every report, CSV row and host
+    record prints girths through this."""
+    return "Infinite" if value == INFINITE else value
 
 
 @dataclass(frozen=True)
@@ -422,7 +396,7 @@ def _witness_from_detection(x: int, y: int, parent: dict) -> CycleWitness:
 
 def girth_with_witness(
     g: Graph, stop_at: int = 3
-) -> tuple[GirthValue, Optional[CycleWitness]]:
+) -> tuple[float, Optional[CycleWitness]]:
     """Girth with a shortest-cycle witness.
 
     One two-coloring pass (:func:`_two_coloring`) comes first.  A
@@ -449,15 +423,16 @@ def girth_with_witness(
             witness.validate(g)
             return 4, witness
         stop_at = max(stop_at, 6)
-    best: GirthValue = INFINITE
+    best: float = INFINITE
     best_witness: Optional[CycleWitness] = None
     for root in range(g.n):
-        cap = g.n if isinstance(best, _InfiniteGirth) else (best + 1) // 2
+        # math.inf // 2 is nan, so an unbounded search is capped at n
+        cap = g.n if best == INFINITE else (best + 1) // 2
         hit = _bfs_detect(g, root, cap, stop_at)
         if hit is None:
             continue
         value, x, y, parent, _ = hit
-        if isinstance(best, _InfiniteGirth) or value < best:
+        if value < best:
             witness = _witness_from_detection(x, y, parent)
             witness.validate(g)
             # The trimmed cycle can only be shorter than the detection value.
@@ -468,7 +443,7 @@ def girth_with_witness(
     return best, best_witness
 
 
-def girth(g: Graph) -> GirthValue:
+def girth(g: Graph) -> float:
     """Length of a shortest cycle of ``g``; :data:`INFINITE` for forests."""
     return girth_with_witness(g)[0]
 
@@ -681,7 +656,7 @@ def check_family_free(g: Graph, fam: ForbiddenFamily) -> Verdict:
 
 def family_girth(
     g: Graph, fam: ForbiddenFamily
-) -> tuple[Optional[GirthValue], Optional[CycleWitness]]:
+) -> tuple[Optional[float], Optional[CycleWitness]]:
     """``(girth, None)`` when ``g`` is free of ``fam``, else ``(None,
     witness)`` with a validated witness in ``fam``.
 
@@ -702,7 +677,7 @@ def family_girth(
     return None, witness
 
 
-def certify(g: Graph, fam: ForbiddenFamily, what: str) -> GirthValue:
+def certify(g: Graph, fam: ForbiddenFamily, what: str) -> float:
     """Certify that ``g`` is free of ``fam`` and return its exact girth.
 
     The raising form of :func:`family_girth`, and the certification step

@@ -21,10 +21,10 @@ from .graph import (
     CertificationError,
     ForbiddenFamily,
     Graph,
-    GirthValue,
     certify,
     closes_forbidden_cycle,
     girth,
+    girth_json,
     induced_subgraph,
     pair_from_index,
 )
@@ -44,7 +44,7 @@ class HostGraph:
 
     graph: Graph
     certified_family: Optional[ForbiddenFamily]
-    certified_girth: GirthValue
+    certified_girth: float
     min_degree: int
     label: str
     parts: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
@@ -62,7 +62,7 @@ class HostGraph:
             f"order: {self.graph.n}",
             f"edges: {self.graph.m}",
             f"certified_family: {fam}",
-            f"certified_girth: {self.certified_girth!r}",
+            f"certified_girth: {girth_json(self.certified_girth)}",
             f"min_degree: {self.min_degree}",
             f"degraded: {str(self.degraded).lower()}",
         ]

@@ -6,14 +6,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .graph import ForbiddenFamily, GirthValue
+from .graph import ForbiddenFamily, girth_json
 
 SCHEMA_VERSION = 1
-
-
-def girth_json(value: GirthValue):
-    """Integers pass through; the acyclic sentinel serializes as 'Infinite'."""
-    return value if isinstance(value, int) else "Infinite"
 
 
 @dataclass
@@ -35,7 +30,7 @@ class ExtractionReport:
     seed: int
     output_edges: int
     output_min_degree: int
-    output_girth: GirthValue
+    output_girth: float
     family: ForbiddenFamily
     timing_ms: Optional[int] = None
     extras: dict[str, Any] = field(default_factory=dict)
@@ -63,4 +58,7 @@ class ExtractionReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        # as in the CLI: a non-finite number raises instead of printing Infinity
+        return json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
+        )

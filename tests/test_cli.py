@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import girthforge
+from girthforge import cli
 from girthforge.cli import main
+from girthforge.degree_extract import extract_spanning_high_girth
+from girthforge.graph import INFINITE, girth_json
 from girthforge.graph import MAX_VERTEX_ID, parse_edge_list
 from girthforge.hosts import complete, random_gnm, star
 from girthforge.graph import format_edge_list
@@ -42,6 +51,16 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 2 and doc["free"] is False
         assert len(doc["witness"]) == 4
+
+    def test_free_graph_runs_no_family_check(self, capsys, c5_path, tmp_path):
+        # girth 5 > 4 (and a forest's infinite girth) already proves freeness
+        tree = tmp_path / "tree.edges"
+        tree.write_text("0 1\n1 2\n1 3\n")
+        with mock.patch.object(cli, "check_family_free", side_effect=AssertionError):
+            for path, girth in ((c5_path, 5), (str(tree), "Infinite")):
+                code, out = run(capsys, ["verify", "--family", "even:4", "--in", path])
+                doc = json.loads(out)
+                assert code == 0 and doc["free"] is True and doc["girth"] == girth
 
     def test_bad_family_usage_error(self, capsys, k7_path):
         code, _ = run(capsys, ["verify", "--family", "odd:3", "--in", k7_path])
@@ -156,6 +175,18 @@ class TestOracle:
         assert code == 1
 
 
+def test_non_finite_number_raises_instead_of_printing():
+    # every girth prints through girth_json; one that does not fails loudly
+    with pytest.raises(ValueError):
+        cli._emit({"girth": INFINITE}, None)
+    report = extract_spanning_high_girth(complete(4), 2, 0, 1)[1]
+    girth = json.loads(report.to_json())["output"]["girth"]
+    assert girth == girth_json(report.output_girth)
+    report.extras["girth"] = INFINITE
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
 class TestSweep:
     def test_too_few_points(self, capsys):
         code, _ = run(capsys, ["sweep", "--mode", "f", "--n", "20:30:10"])
@@ -172,6 +203,22 @@ class TestSweep:
         assert lines[2].startswith("x,n,m,")
         assert len([l for l in lines if not l.startswith("#")]) == 5  # header + 4
         assert lines[-1].startswith("# slope=")
+
+    def test_equal_x_usage_error(self):
+        # all four random_gnm inputs have maximum degree 9: no slope to fit
+        argv = ["sweep", "--mode", "h", "--family-input", "random_gnm",
+                "--n", "18:21:1", "--trials", "1", "--seed", "0"]
+        src = str(Path(girthforge.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "girthforge.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("error:") and "x = 9" in last
 
     def test_mode_h(self, capsys):
         code, out = run(

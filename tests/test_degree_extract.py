@@ -280,6 +280,33 @@ class TestEdgeRetention:
                 per_pair_degree[key] = per_pair_degree.get(key, 0) + 1
                 assert per_pair_degree[key] == 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs(max_n=9), st.integers(min_value=0, max_value=2**30))
+    def test_kept_set_is_exactly_the_local_minima(self, g, seed):
+        rng = random.Random(seed)
+        # a proper coloring from few colors, so class pairs often meet at a
+        # vertex, and weights from three values, so the index breaks ties
+        colors = []
+        for v in range(g.n):
+            taken = {colors[w] for w in g.adjacency[v] if w < v}
+            colors.append(rng.choice([c for c in range(g.n) if c not in taken][:3]))
+        chi = VertexColoring(tuple(colors), g.n)
+        w = EdgeWeights(tuple(rng.choice((0.25, 0.5, 0.75)) for _ in range(g.m)))
+
+        def pair(e):
+            return sorted((colors[e[0]], colors[e[1]]))
+
+        expected = {
+            e
+            for i, e in enumerate(g.edges)
+            if all(
+                w.key(j) > w.key(i)
+                for j, f in enumerate(g.edges)
+                if j != i and set(e) & set(f) and pair(f) == pair(e)
+            )
+        }
+        assert set(edge_retention(g, chi, w).edges) == expected
+
     def test_kept_edges_are_local_minima(self):
         g = complete_bipartite(3, 3)
         chi = VertexColoring((0, 0, 0, 1, 1, 1), 2)

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -24,6 +25,7 @@ from girthforge.graph import (
     find_short_even_cycle,
     format_edge_list,
     girth,
+    girth_json,
     girth_with_witness,
     induced_subgraph,
     pair_from_index,
@@ -151,6 +153,15 @@ class TestInfiniteSentinel:
         assert INFINITE >= INFINITE
         assert INFINITE == INFINITE
         assert INFINITE != 7
+
+    def test_is_math_inf(self):
+        import girthforge
+
+        assert girthforge.INFINITE is math.inf
+
+    def test_one_text_form(self):
+        assert girth_json(INFINITE) == "Infinite"
+        assert girth_json(girth(cycle_graph(5))) == 5
 
 
 class TestGirth:
