@@ -10,10 +10,9 @@ import pytest
 import girthforge
 from girthforge import cli
 from girthforge.cli import main
-from girthforge.degree_extract import extract_spanning_high_girth
-from girthforge.graph import INFINITE, girth_json
-from girthforge.graph import MAX_VERTEX_ID, parse_edge_list
+from girthforge.graph import INFINITE, MAX_VERTEX_ID, ForbiddenFamily, parse_edge_list
 from girthforge.hosts import complete, random_gnm, star
+from girthforge.report import ExtractionReport
 from girthforge.graph import format_edge_list
 
 
@@ -179,9 +178,12 @@ def test_non_finite_number_raises_instead_of_printing():
     # every girth prints through girth_json; one that does not fails loudly
     with pytest.raises(ValueError):
         cli._emit({"girth": INFINITE}, None)
-    report = extract_spanning_high_girth(complete(4), 2, 0, 1)[1]
-    girth = json.loads(report.to_json())["output"]["girth"]
-    assert girth == girth_json(report.output_girth)
+    report = ExtractionReport(
+        input_n=5, input_m=4, method="forest", r=2, trials=1, seed=0,
+        output_edges=4, output_min_degree=1, output_girth=INFINITE,
+        family=ForbiddenFamily.parse("all:5"),
+    )
+    assert json.loads(report.to_json())["output"]["girth"] == "Infinite"
     report.extras["girth"] = INFINITE
     with pytest.raises(ValueError):
         report.to_json()

@@ -15,7 +15,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from girthforge.cli import SWEEP_HEADER, main
@@ -61,7 +61,6 @@ def _run(argv, graph=None):
             code = main(argv + ["--out", str(out_path)])
         out = out_path.read_text() if out_path.exists() else None
     assert code in (0, 1, 2, 3)
-    event(f"exit {code}")
     if code == 1:
         assert any(line.startswith("error: ") for line in stderr.getvalue().splitlines())
     return code, stdout.getvalue(), out
