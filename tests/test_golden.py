@@ -5,10 +5,11 @@ rewritten (the forbidden-cycle engine; the resampler, the C4 certificate
 and the projective hosts; the closed-form host lines and
 ``Graph.from_edges``; the one certification step and the ``sweep`` rows
 that read it; the case-1 host cache and trial loop; the infinite girth of
-a forest), so any change to a greedy decision, a resampling step, a
-witness, a report field or an output file shows up here as a digest
-mismatch.  Inputs are built inside the test from stdlib ``random`` so they
-do not depend on the package's own generators.
+a forest; the one command-line dispatch, with a ``verify`` witness from
+each forbidden-cycle search path), so any change to a greedy decision, a
+resampling step, a witness, a report field or an output file shows up
+here as a digest mismatch.  Inputs are built inside the test from stdlib
+``random`` so they do not depend on the package's own generators.
 """
 
 import contextlib
@@ -277,4 +278,41 @@ def test_forest_sweep_digest(tmp_path):
     code, stdout, out = _run(argv, tmp_path / "sweep.csv")
     assert code == 0
     digest = "0a2af07acbef75fd3343903e6bfdce6cf0b38b9eddf65cf984d07cd3ae9bfe16"
+    assert (_sha(stdout), _sha(out)) == (digest, digest)
+
+
+# The verify witnesses of the forbidden-cycle engine's other paths.
+PETERSEN = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{5 + i} {5 + (i + 2) % 5}\n"
+                   for i in range(5))
+# PG(2,2): points 0..6, the Fano plane's lines 7..13
+FANO_LINES = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+PG22_INCIDENCE = "".join(f"{p} {7 + i}\n" for i, line in enumerate(FANO_LINES) for p in line)
+
+# case -> (input, family, sha256 of stdout, which --out repeats verbatim)
+VERIFY_WITNESS_CASES = {
+    # the dict path of _find_c4 (witness [0, 5, 1, 6])
+    "small-even4": ("small", "even:4",
+                    "92bca6f04b2691be3e86aa6e144cbbe672fead523ed97000eab55cbbed55c1a4"),
+    # girth 5, not bipartite, no C4: _even_cycle_meet_in_middle
+    "petersen-even6": (PETERSEN, "even:6",
+                       "c4a09a83b63afa6d4f85e1fc6395cd969739c05ac516c4c744b9b928c47293fe"),
+    # girth 3 under all:5: find_cycle_up_to
+    "sparse-all5": ("sparse", "all:5",
+                    "4cef605bc74b420ee709ffb13b0c0b21a9d602aca0c6987e15b5df1dd3bc7d43"),
+    # bipartite girth 6: the bipartite branch of find_short_even_cycle
+    "pg22-even6": (PG22_INCIDENCE, "even:6",
+                   "0d013594bf25d795ff73ca042a2cf2c215515bc28d020fc7fa1844494a820c37"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_WITNESS_CASES))
+def test_verify_witness_digests(case, small_path, sparse_path, tmp_path):
+    source, family, digest = VERIFY_WITNESS_CASES[case]
+    path = {"small": small_path, "sparse": sparse_path}.get(source)
+    if path is None:
+        path = tmp_path / "in.edges"
+        path.write_text(source)
+    argv = ["verify", "--family", family, "--in", str(path)]
+    code, stdout, out = _run(argv, tmp_path / "verify.json")
+    assert code == 2
     assert (_sha(stdout), _sha(out)) == (digest, digest)
