@@ -7,15 +7,14 @@ pass, 1 usage error, 2 certificate failure, 3 degraded output.
 
 Per-trial seeds are derived as splitmix64(seed, trial index), so a single
 ``--seed`` pins the whole run; wall-clock fields stay null unless
-``--timing`` is passed, keeping repeated runs byte-identical.
+``--timing`` is passed, keeping repeated runs byte-identical.  ``--seed``
+defaults to 0 and nothing else (no environment variable) feeds the run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
 import time
 
@@ -29,7 +28,7 @@ from .graph import (
     girth_json,
     parse_edge_list,
 )
-from .report import SCHEMA_VERSION
+from .report import SCHEMA_VERSION, dumps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,11 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GIRTHFORGE_SEED")
-    return int(env) if env else 0
-
-
 def _load_graph(path: str):
     try:
         with open(path) as fh:
@@ -70,8 +64,7 @@ def _load_graph(path: str):
 
 
 def _emit(doc: dict, out_path) -> None:
-    # a girth that skipped girth_json raises here instead of printing Infinity
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    text = dumps(doc)
     print(text)
     if out_path:
         with open(out_path, "w") as fh:
@@ -93,10 +86,8 @@ def _cmd_host_build(args) -> int:
         host = hosts.polarity_graph(args.q)
     elif args.kind == "incidence":
         host = hosts.incidence_graph_pg2(args.q)
-    elif args.kind == "greedy":
-        host = hosts.greedy_high_girth(args.n, args.girth, args.seed)
     else:
-        raise _UsageError(f"unknown host kind {args.kind!r}")
+        host = hosts.greedy_high_girth(args.n, args.girth, args.seed)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "label": host.label,
@@ -112,31 +103,29 @@ def _cmd_host_build(args) -> int:
         _write_edges(host.graph, args.out)
         with open(args.out + ".meta", "w") as fh:
             fh.write(host.metadata_block())
-    return EXIT_DEGRADED if host.degraded else EXIT_OK
-
-
-def _cmd_extract_edges(args) -> int:
-    g = _load_graph(args.infile)
-    start = time.monotonic()
-    graph, report = edge_extract.extract_even_cycle_free(
-        g, args.r, args.trials, args.seed, odd_free=args.odd_free
-    )
-    if args.timing:
-        report.timing_ms = int((time.monotonic() - start) * 1000)
-    _emit(report.to_dict(), None)
-    if args.out:
-        _write_edges(graph, args.out)
     return EXIT_OK
 
 
-def _cmd_extract_degree(args) -> int:
-    g = _load_graph(args.infile)
+def _extract(g, args):
+    """The extractor of ``args.mode`` on ``g``: "f" for f(m, F) (``extract
+    edges``), "h" for h(delta, Delta, F) (``extract degree``).  With
+    ``--timing`` the report's ``timing_ms`` is the extractor's wall time."""
     start = time.monotonic()
-    graph, report = degree_extract.extract_spanning_high_girth(
-        g, args.r, args.seed, args.trials, max_rounds=args.max_rounds
-    )
+    if args.mode == "f":
+        graph, report = edge_extract.extract_even_cycle_free(
+            g, args.r, args.trials, args.seed, odd_free=args.odd_free
+        )
+    else:
+        graph, report = degree_extract.extract_spanning_high_girth(
+            g, args.r, args.seed, args.trials, max_rounds=args.max_rounds
+        )
     if args.timing:
         report.timing_ms = int((time.monotonic() - start) * 1000)
+    return graph, report
+
+
+def _cmd_extract(args) -> int:
+    graph, report = _extract(_load_graph(args.infile), args)
     _emit(report.to_dict(), None)
     if args.out:
         _write_edges(graph, args.out)
@@ -224,18 +213,12 @@ def _cmd_sweep(args) -> int:
     ys: list[float] = []
     for i, n in enumerate(points):
         g = _sweep_graph(args.family_input, n, args.seed)
-        start = time.monotonic()
+        _, report = _extract(g, args)
         if args.mode == "f":
-            _, report = edge_extract.extract_even_cycle_free(
-                g, args.r, args.trials, args.seed
-            )
             x, best = g.m, report.output_edges
         else:
-            _, report = degree_extract.extract_spanning_high_girth(
-                g, args.r, args.seed, args.trials, max_rounds=args.max_rounds
-            )
             x, best = g.max_degree(), report.output_min_degree
-        wall = str(int((time.monotonic() - start) * 1000)) if args.timing else ""
+        wall = "" if report.timing_ms is None else str(report.timing_ms)
         rows.append(
             f"{x},{g.n},{g.m},{report.method},{args.r},{args.trials},"
             f"{report.output_edges},{report.output_min_degree},"
@@ -268,15 +251,20 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, max_rounds=False):
-    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+def _add_run_options(p, max_rounds: bool) -> None:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--timing", action="store_true")
     if max_rounds:
         p.add_argument("--max-rounds", type=int, default=64)
+
+
+def _add_check_options(p) -> None:
+    p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--family", required=True, metavar="even:2r|all:L")
+    p.add_argument("--out", metavar="PATH")
 
 
 def build_parser() -> _Parser:
@@ -290,43 +278,31 @@ def build_parser() -> _Parser:
     hb.add_argument("--q", type=int, default=3)
     hb.add_argument("--n", type=int, default=50)
     hb.add_argument("--girth", type=int, default=5)
-    hb.add_argument("--seed", type=int, default=_default_seed())
+    hb.add_argument("--seed", type=int, default=0)
     hb.add_argument("--out", metavar="PATH")
     hb.set_defaults(func=_cmd_host_build)
 
     extract = sub.add_parser("extract")
     ex_sub = extract.add_subparsers(dest="extract_command", required=True)
     ee = ex_sub.add_parser("edges")
-    _add_common(ee)
-    ee.add_argument("--odd-free", action="store_true")
-    ee.set_defaults(func=_cmd_extract_edges)
     ed = ex_sub.add_parser("degree")
-    _add_common(ed, max_rounds=True)
-    ed.set_defaults(func=_cmd_extract_degree)
+    for p, mode in ((ee, "f"), (ed, "h")):
+        p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+        _add_run_options(p, max_rounds=mode == "h")
+        p.set_defaults(func=_cmd_extract, mode=mode)
+    ee.add_argument("--odd-free", action="store_true")
 
-    ver = sub.add_parser("verify")
-    ver.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    ver.add_argument("--family", required=True, metavar="even:2r|all:L")
-    ver.add_argument("--out", metavar="PATH")
-    ver.set_defaults(func=_cmd_verify)
-
-    orc = sub.add_parser("oracle")
-    orc.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    orc.add_argument("--family", required=True, metavar="even:2r|all:L")
-    orc.add_argument("--out", metavar="PATH")
-    orc.set_defaults(func=_cmd_oracle)
+    for name, func in (("verify", _cmd_verify), ("oracle", _cmd_oracle)):
+        p = sub.add_parser(name)
+        _add_check_options(p)
+        p.set_defaults(func=func)
 
     sw = sub.add_parser("sweep")
     sw.add_argument("--mode", required=True, choices=("f", "h"))
     sw.add_argument("--family-input", default="complete")
     sw.add_argument("--n", required=True, metavar="A:B:S")
-    sw.add_argument("--r", type=int, default=2)
-    sw.add_argument("--trials", type=int, default=8)
-    sw.add_argument("--seed", type=int, default=_default_seed())
-    sw.add_argument("--max-rounds", type=int, default=64)
-    sw.add_argument("--out", metavar="PATH")
-    sw.add_argument("--timing", action="store_true")
-    sw.set_defaults(func=_cmd_sweep)
+    _add_run_options(sw, max_rounds=True)
+    sw.set_defaults(func=_cmd_sweep, odd_free=False)
 
     return parser
 

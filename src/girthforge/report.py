@@ -58,7 +58,13 @@ class ExtractionReport:
         return doc
 
     def to_json(self) -> str:
-        # as in the CLI: a non-finite number raises instead of printing Infinity
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return dumps(self.to_dict())
+
+
+def dumps(doc: dict) -> str:
+    """The one JSON text of every report: sorted keys, compact separators.
+
+    A non-finite number raises ``ValueError`` instead of printing
+    ``Infinity``, so a girth that skipped ``girth_json`` fails loudly.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)

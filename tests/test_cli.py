@@ -206,6 +206,19 @@ class TestSweep:
         assert len([l for l in lines if not l.startswith("#")]) == 5  # header + 4
         assert lines[-1].startswith("# slope=")
 
+    def test_timing_fills_only_the_wall_column(self, capsys):
+        argv = ["sweep", "--mode", "h", "--n", "8:14:2", "--trials", "1", "--seed", "5"]
+        rows = {}
+        for extra in ([], ["--timing"]):
+            code, out = run(capsys, argv + extra)
+            assert code == 0
+            rows[bool(extra)] = [
+                line.split(",") for line in out.splitlines()[3:-1]
+            ]
+        assert all(row[-1] == "" for row in rows[False])
+        assert all(row[-1].isdigit() for row in rows[True])
+        assert [row[:-1] for row in rows[True]] == [row[:-1] for row in rows[False]]
+
     def test_equal_x_usage_error(self):
         # all four random_gnm inputs have maximum degree 9: no slope to fit
         argv = ["sweep", "--mode", "h", "--family-input", "random_gnm",
@@ -237,9 +250,10 @@ class TestDeterminism:
         _, b = run(capsys, argv)
         assert a == b
 
-    def test_seed_env_fallback(self, capsys, k7_path, monkeypatch):
+    def test_seed_env_ignored(self, capsys, k7_path, monkeypatch):
+        # the command line alone fixes the output: --seed defaults to 0
         monkeypatch.setenv("GIRTHFORGE_SEED", "123")
-        from girthforge import cli
-
-        parser_seed = cli._default_seed()
-        assert parser_seed == 123
+        argv = ["extract", "edges", "--in", k7_path, "--trials", "4"]
+        _, default = run(capsys, argv)
+        _, zero = run(capsys, argv + ["--seed", "0"])
+        assert default == zero
