@@ -212,9 +212,7 @@ class TestSweep:
         for extra in ([], ["--timing"]):
             code, out = run(capsys, argv + extra)
             assert code == 0
-            rows[bool(extra)] = [
-                line.split(",") for line in out.splitlines()[3:-1]
-            ]
+            rows[bool(extra)] = [line.split(",") for line in out.splitlines()[3:-1]]
         assert all(row[-1] == "" for row in rows[False])
         assert all(row[-1].isdigit() for row in rows[True])
         assert [row[:-1] for row in rows[True]] == [row[:-1] for row in rows[False]]
