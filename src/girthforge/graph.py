@@ -8,8 +8,9 @@ every host and output.  The search, :func:`girth_with_witness`, two-colors
 the graph first: a bipartite graph is certified by a C4 check and at most
 one 6-cycle instead of a BFS from every root.  :func:`check_family_free`
 answers the yes/no question alone, stopping at the first witness.
-:func:`closes_forbidden_cycle` is the per-edge test that every greedy
-builder uses to decide which edges to keep.
+:func:`closes_forbidden_cycle` is the per-edge test with which the greedy
+extractor (``greedy_family_free``) and the oracle's branch and bound
+decide which edges to keep.
 
 A girth is a plain number: an int, or :data:`INFINITE` (``math.inf``) for
 a forest.  :func:`girth_json` is its one text form.
@@ -581,29 +582,38 @@ def _even_cycle_meet_in_middle(g: Graph, half: int) -> Optional[CycleWitness]:
 
     Enumerates simple paths rooted at the minimum vertex of the candidate
     cycle; sound for any graph, intended for bounds where shorter even
-    cycles are already excluded.
+    cycles are already excluded.  The DFS keeps one mutable path and
+    on-path set, and stores a tuple only for each length-``half`` path.
     """
     adj = g.adjacency
     for v in range(g.n):
-        paths_to: dict[int, list[tuple[tuple[int, ...], frozenset]]] = {}
-        stack = [(v, (v,), frozenset())]
+        # w -> the paths v..x (w excluded) of the length-half paths v..x w
+        paths_to: dict[int, list[tuple[int, ...]]] = {}
+        # stack[i] walks the neighbors of path[i], last first; stepping
+        # from path[-1] gives a path of len(stack) edges
+        path = [v]
+        interior: set[int] = set()  # path[1:]
+        stack = [reversed(adj[v])]
         while stack:
-            cur, path, interior = stack.pop()
-            if len(path) == half + 1:
-                w = cur
-                inter = interior - {w}
-                for other_path, other_inter in paths_to.get(w, ()):
-                    if not (inter & other_inter):
-                        cycle = path[:-1] + tuple(reversed(other_path[1:]))
+            for nxt in stack[-1]:
+                if nxt <= v or nxt in interior:
+                    continue
+                if len(stack) < half:
+                    path.append(nxt)
+                    interior.add(nxt)
+                    stack.append(reversed(adj[nxt]))
+                    break
+                # v is in no interior, so comparing whole stored paths works
+                for other in paths_to.get(nxt, ()):
+                    if interior.isdisjoint(other):
+                        cycle = tuple(path) + (nxt,) + tuple(reversed(other[1:]))
                         witness = CycleWitness(cycle)
                         witness.validate(g)
                         return witness
-                paths_to.setdefault(w, []).append((path, inter))
-                continue
-            for nxt in adj[cur]:
-                if nxt <= v or nxt in interior:
-                    continue
-                stack.append((nxt, path + (nxt,), interior | {nxt}))
+                paths_to.setdefault(nxt, []).append(tuple(path))
+            else:
+                stack.pop()
+                interior.discard(path.pop())
     return None
 
 
@@ -719,8 +729,10 @@ def closes_forbidden_cycle(
       most R and v is not within that budget.  The BFS distance is a lower
       bound on the length of every x-v path, so the pruning is exact.
 
-    This one test decides every edge of the greedy extractor, the greedy
-    high-girth host and the exact oracle's branch and bound.
+    This one test decides every edge of the greedy extractor and of the
+    exact oracle's branch and bound.  The greedy high-girth host decides
+    its pairs from stored distance balls instead
+    (:func:`hosts.greedy_high_girth`).
     """
     if u == v or v in adj[u]:
         raise ValueError(f"({u},{v}) is a loop or already an edge")

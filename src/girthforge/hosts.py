@@ -22,7 +22,6 @@ from .graph import (
     ForbiddenFamily,
     Graph,
     certify,
-    closes_forbidden_cycle,
     girth,
     girth_json,
     induced_subgraph,
@@ -235,6 +234,16 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
     Scans a seeded uniform permutation of the vertex pairs, adding an edge
     iff it closes no cycle shorter than ``min_girth``; certified per run.
     The result depends only on the arguments, so the last few are cached.
+
+    For ``min_girth >= 4`` a pair uv closes such a cycle exactly when
+    dist(u, v) <= R = min_girth - 2.  :func:`_greedy_ball_pass` decides
+    each pair by one AND of two stored bitsets, no search: with
+    a = ceil(R / 2) and b = R - a it keeps, for every vertex x, ``top[x]``
+    (the vertices within distance a of x) and ``low[x]`` (within distance
+    b), and dist(u, v) <= R exactly when ``top[u] & low[v]`` is nonzero.
+    That state is two n-bit ints per vertex whatever ``min_girth`` is.
+    ``min_girth == 3`` forbids nothing and keeps every pair.  Nothing
+    trusts the bitsets: the host is certified like every other.
     """
     if not (n >= min_girth >= 3):
         raise ValueError("need n >= min_girth >= 3")
@@ -243,22 +252,82 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
     total = n * (n - 1) // 2
     order = list(range(total))
     random.Random(seed).shuffle(order)
-    adj: list[set] = [set() for _ in range(n)]
-    edges: list[tuple[int, int]] = []
     # cycles shorter than min_girth; with min_girth 3 nothing is forbidden
-    family = (
-        ForbiddenFamily.all_cycles_up_to(min_girth - 1) if min_girth >= 4 else None
-    )
-    for idx in order:
-        u, v = pair_from_index(n, idx)
-        if family is None or not closes_forbidden_cycle(adj, u, v, family):
-            adj[u].add(v)
-            adj[v].add(u)
-            edges.append((u, v))
+    if min_girth >= 4:
+        family = ForbiddenFamily.all_cycles_up_to(min_girth - 1)
+        edges = _greedy_ball_pass(n, order, min_girth - 2)
+    else:
+        family = None
+        edges = [pair_from_index(n, idx) for idx in order]
     graph = Graph.from_edges(n, edges)
     # certifying all:(min_girth - 1) proves girth >= min_girth
     label = f"greedy(n={n},girth>={min_girth},seed={seed})"
     return certify_host(graph, family, label=label)
+
+
+def _greedy_ball_pass(n: int, order: list[int], reach: int) -> list[tuple[int, int]]:
+    """The pairs of ``order`` (indices as in :func:`pair_from_index`) kept
+    by a greedy pass that adds uv iff dist(u, v) > ``reach`` in the graph
+    built so far, in the order they are kept.
+
+    ``top`` and ``low`` hold the balls of radius a and b described in
+    :func:`greedy_high_girth` (a + b = ``reach``).  An accepted edge uv
+    lies at most once on a new shortest path, so a vertex x at old
+    distance i from u gains the old ball of radius a - 1 - i around v in
+    ``top[x]`` (and of radius b - 1 - i in ``low[x]``), and the same with
+    u and v swapped.  One truncated BFS from each endpoint, to depth
+    a - 1 in the old graph, gives those distances and balls; its layers
+    and a ints of n bits live only for that edge.
+    """
+    top_r = (reach + 1) // 2
+    low_r = reach - top_r
+    top = [1 << x for x in range(n)]
+    low = top[:]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges: list[tuple[int, int]] = []
+    for idx in order:
+        u, v = pair_from_index(n, idx)
+        if top[u] & low[v]:
+            continue
+        layers_u, balls_u = _ball_layers(adj, u, top_r - 1)
+        layers_v, balls_v = _ball_layers(adj, v, top_r - 1)
+        for layers, balls in ((layers_u, balls_v), (layers_v, balls_u)):
+            last = len(balls) - 1
+            for i, layer in enumerate(layers):
+                grow_top = balls[min(top_r - 1 - i, last)]
+                for x in layer:
+                    top[x] |= grow_top
+                if i < low_r:
+                    grow_low = balls[min(low_r - 1 - i, last)]
+                    for x in layer:
+                        low[x] |= grow_low
+        adj[u].append(v)
+        adj[v].append(u)
+        edges.append((u, v))
+    return edges
+
+
+def _ball_layers(
+    adj: list[list[int]], root: int, depth: int
+) -> tuple[list[list[int]], list[int]]:
+    """BFS layers of ``root`` to ``depth`` (``layers[i]`` at distance i)
+    and the cumulative ball bitsets (``balls[i]``: within distance i),
+    stopping early when the component is exhausted."""
+    layers = [[root]]
+    ball = 1 << root
+    balls = [ball]
+    for _ in range(depth):
+        nxt = []
+        for x in layers[-1]:
+            for y in adj[x]:
+                if not ball >> y & 1:
+                    ball |= 1 << y
+                    nxt.append(y)
+        if not nxt:
+            break
+        layers.append(nxt)
+        balls.append(ball)
+    return layers, balls
 
 
 # ---------------------------------------------------------------------------

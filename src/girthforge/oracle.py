@@ -4,9 +4,9 @@ Exact family-constrained Turán numbers by branch and bound, and the
 cherry (common-neighbor) bound for C4-free bipartite graphs.  Used to
 validate extractor outputs, never to produce them.  The branch and bound
 decides each edge with :func:`graph.closes_forbidden_cycle`, the same
-test that decides every edge of the greedy extractor and greedy host, so
-the oracle is independent of the extractors' pipelines but not of that
-test; ``tests/bruteforce.py`` checks the test itself.
+test that decides every edge of the greedy extractor, so the oracle is
+independent of the extractors' pipelines but not of that test;
+``tests/bruteforce.py`` checks the test itself.
 """
 
 from __future__ import annotations

@@ -2,7 +2,11 @@
 
 Everything here recomputes ground truth from first principles (exhaustive
 enumeration), sharing no code paths with the library's certified
-algorithms beyond the Graph container itself.
+algorithms beyond the Graph container itself.  The ``reference_*``
+functions are the plain forms of optimised library routines, kept to
+check that the optimised forms decide the same way; the greedy host's
+reference also calls the library's per-edge test, which
+:func:`cycle_lengths_through` checks from first principles.
 """
 
 from __future__ import annotations
@@ -10,7 +14,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from girthforge.graph import Graph
+from girthforge.graph import (
+    CycleWitness,
+    ForbiddenFamily,
+    Graph,
+    closes_forbidden_cycle,
+    pair_from_index,
+)
 
 
 def all_cycles(g: Graph, max_len=None):
@@ -249,3 +259,54 @@ def reference_from_edges(n: int, edges) -> Graph:
         adj[e[0]].append(e[1])
         adj[e[1]].append(e[0])
     return Graph(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adj))
+
+
+def reference_greedy_high_girth(n: int, min_girth: int, seed: int):
+    """The greedy high-girth pass with one :func:`closes_forbidden_cycle`
+    search per pair: a seeded permutation of the pairs, each added iff it
+    closes no cycle shorter than ``min_girth``.  Returns the kept edges in
+    the order they were added."""
+    total = n * (n - 1) // 2
+    order = list(range(total))
+    random.Random(seed).shuffle(order)
+    adj: list[set] = [set() for _ in range(n)]
+    edges: list[tuple[int, int]] = []
+    # cycles shorter than min_girth; with min_girth 3 nothing is forbidden
+    family = (
+        ForbiddenFamily.all_cycles_up_to(min_girth - 1) if min_girth >= 4 else None
+    )
+    for idx in order:
+        u, v = pair_from_index(n, idx)
+        if family is None or not closes_forbidden_cycle(adj, u, v, family):
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.append((u, v))
+    return edges
+
+
+def reference_even_cycle_meet_in_middle(g: Graph, half: int):
+    """A C_{2*half} as two internally disjoint length-``half`` paths, by a
+    DFS that pushes a new path tuple and interior frozenset for every
+    step; the first witness found, or None."""
+    adj = g.adjacency
+    for v in range(g.n):
+        paths_to: dict[int, list[tuple[tuple[int, ...], frozenset]]] = {}
+        stack = [(v, (v,), frozenset())]
+        while stack:
+            cur, path, interior = stack.pop()
+            if len(path) == half + 1:
+                w = cur
+                inter = interior - {w}
+                for other_path, other_inter in paths_to.get(w, ()):
+                    if not (inter & other_inter):
+                        cycle = path[:-1] + tuple(reversed(other_path[1:]))
+                        witness = CycleWitness(cycle)
+                        witness.validate(g)
+                        return witness
+                paths_to.setdefault(w, []).append((path, inter))
+                continue
+            for nxt in adj[cur]:
+                if nxt <= v or nxt in interior:
+                    continue
+                stack.append((nxt, path + (nxt,), interior | {nxt}))
+    return None

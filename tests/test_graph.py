@@ -39,6 +39,7 @@ from bruteforce import (
     brute_shortest_even,
     cycle_lengths_through,
     has_forbidden,
+    reference_even_cycle_meet_in_middle,
     reference_from_edges,
 )
 from conftest import bipartite_graphs, heawood, small_graphs
@@ -351,6 +352,21 @@ class TestEvenCycleSearch:
                 w.validate(g)
                 # search ascends by length, so the witness is shortest
                 assert w.length == expected
+
+    @pytest.mark.parametrize("half", [2, 3, 4])
+    def test_meet_in_middle_matches_reference(self, half):
+        # same DFS leaf order, so the same first witness (or none)
+        rng = random.Random(half)
+        for _ in range(400):
+            n = rng.randint(2 * half, 14)
+            total = n * (n - 1) // 2
+            m = rng.randint(0, min(total, 2 * n))
+            g = Graph.from_edges(
+                n, [pair_from_index(n, i) for i in rng.sample(range(total), m)]
+            )
+            expected = reference_even_cycle_meet_in_middle(g, half)
+            got = graph_mod._even_cycle_meet_in_middle(g, half)
+            assert (got and got.vertices) == (expected and expected.vertices)
 
 
 def _assert_check_matches_bruteforce(g, fam):

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +34,12 @@ from girthforge.hosts import (
     smallest_prime_with_plane_order,
     star,
 )
-from bruteforce import brute_girth, brute_orthogonal_pairs, projective_degree_counts
+from bruteforce import (
+    brute_girth,
+    brute_orthogonal_pairs,
+    projective_degree_counts,
+    reference_greedy_high_girth,
+)
 
 
 class TestPrimes:
@@ -183,6 +189,28 @@ class TestGreedyHighGirth:
         a = greedy_high_girth(30, 6, 1)
         b = greedy_high_girth(30, 6, 2)
         assert a.graph.edges != b.graph.edges
+
+    @pytest.mark.parametrize("n", [8, 13, 25, 60])
+    def test_matches_per_pair_search(self, n):
+        # the ball bitsets keep exactly the edges a per-pair search keeps
+        for min_girth in sorted({3, 4, 5, 6, 7, 8, n}):
+            for seed in range(3):
+                host = greedy_high_girth(n, min_girth, seed)
+                expected = reference_greedy_high_girth(n, min_girth, seed)
+                assert host.graph.edges == tuple(expected), (n, min_girth, seed)
+
+    def test_ball_state_does_not_grow_with_girth(self):
+        # two n-bit ints per vertex whatever the girth, not one per radius
+        peaks = []
+        for min_girth in (7, 200):
+            greedy_high_girth.cache_clear()
+            tracemalloc.start()
+            try:
+                greedy_high_girth(200, min_girth, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestPruneAndDense:
