@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -387,6 +388,26 @@ class TestExtractor:
         assert report.extras["host"]["order"] == 26
         assert report.extras["size_capped"] is True
         assert report.extras["precondition_plausible"] is False
+
+    def test_resample_winner_digests(self, monkeypatch):
+        # a certified paper-pipeline candidate that wins the race: on K20
+        # against the PG(2,3) incidence host a resample trial beats the
+        # forest on minimum degree
+        monkeypatch.setattr(
+            degree_mod, "_degree_host", lambda kq, r: incidence_graph_pg2(3)
+        )
+        out, report = extract_spanning_high_girth(complete(20), 2, 4, 4)
+        assert report.method == "resample"
+        assert (out.m, out.min_degree()) == (28, 1)
+        assert report.extras["rounds_used"] == 21
+        assert report.extras["size_capped"] is True
+        edge_text = "".join(f"{u} {v}\n" for u, v in out.edges)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "a126815e03d543a05d519f8647a2a48a955ac5a9d56758b8012796911686f964"
+        )
+        assert hashlib.sha256(edge_text.encode()).hexdigest() == (
+            "2036e3ef13575fbe5ba599b5cd08390a015fa9881f8dc6c007b8d17ceada8305"
+        )
 
     def test_rejects_bad_params(self):
         g = complete(5)
