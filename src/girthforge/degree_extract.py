@@ -4,7 +4,8 @@ A uniform coloring against a high-girth host induces the host-edge
 subgraph; resampling clears degree-deficiency and frugality violations
 (a constructive stand-in for a local-lemma existence argument); a
 random-weight local-minimum rule then thins each color-class pair to a
-matching, which forces high girth.  Every output is certified directly.
+matching, which forces high girth.  Every candidate is certified when
+made, and :func:`report.pick` ranks them by (minimum degree, edges).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .hosts import (
     incidence_graph_pg2,
     smallest_prime_with_plane_order,
 )
-from .report import ExtractionReport
+from .report import ExtractionReport, pick
 from .seeds import mix
 
 _SALT_WEIGHTS = 515
@@ -279,7 +280,7 @@ def edge_retention(
 def _quantize(k: int) -> int:
     """Round the host-size parameter up to a power of two so runs on similar
     inputs share one base host from the caches of :mod:`hosts`."""
-    return 1 << max(4, (k - 1).bit_length())
+    return 1 << (k - 1).bit_length()
 
 
 def _degree_host(k_quantized: int, r: int) -> HostGraph:
@@ -313,22 +314,20 @@ def extract_spanning_high_girth(
         raise ValueError("r must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if g.n == 0:
-        raise ValueError("graph must be nonempty")
     fam = ForbiddenFamily.all_cycles_up_to(2 * r + 1)
     delta_max = g.max_degree()
 
-    # (min degree, edges, graph, meta, certified girth)
-    candidates: list[tuple[int, int, Graph, dict, float]] = []
+    # (graph, certified girth, fields)
+    candidates: list[tuple[Graph, float, dict]] = []
 
-    def add(graph: Graph, meta: dict) -> None:
-        value = certify(graph, fam, f"{meta['method']} candidate")
-        candidates.append((graph.min_degree(), graph.m, graph, meta, value))
+    def add(graph: Graph, fields: dict) -> None:
+        value = certify(graph, fam, f"{fields['method']} candidate")
+        candidates.append((graph, value, fields))
 
     value, witness = family_girth(g, fam)
     if witness is None:
-        meta = {"method": "identity", "degraded": False, "rounds_used": 0}
-        candidates.append((g.min_degree(), g.m, g, meta, value))
+        fields = {"method": "identity", "degraded": False, "rounds_used": 0}
+        candidates.append((g, value, fields))
     add(
         spanning_forest(g),
         {"method": "forest", "degraded": False, "rounds_used": 0},
@@ -379,25 +378,8 @@ def extract_spanning_high_girth(
                 },
             )
 
-    # max keeps the earliest of equal candidates
-    min_deg, edges_m, best, meta, best_girth = max(candidates, key=lambda c: c[:2])
-    extras = {
-        "degraded": meta["degraded"],
-        "rounds_used": meta["rounds_used"],
-        "degraded_trials": degraded_trials,
-    }
-    extras.update(host_meta)
-    report = ExtractionReport(
-        input_n=g.n,
-        input_m=g.m,
-        method=meta["method"],
-        r=r,
-        trials=trials,
-        seed=seed,
-        output_edges=edges_m,
-        output_min_degree=min_deg,
-        output_girth=best_girth,
-        family=fam,
-        extras=extras,
+    extras = {"degraded_trials": degraded_trials, **host_meta}
+    return pick(
+        g, fam, candidates, lambda out: (out.min_degree(), out.m),
+        r, trials, seed, extras,
     )
-    return best, report

@@ -3,9 +3,9 @@
 Pipeline: split vertices at degree 2*sqrt(m), bucket the high-degree side
 dyadically, then either embed the chosen bucket against a bipartite host
 (case 1) or randomly label the low-degree side into a bipartized host and
-keep doubly color-unique edges (case 2).  Certified fallbacks (spanning
-forest, star, matching, greedy) guarantee the best-of result never loses
-to the trivial answer.
+keep doubly color-unique edges (case 2).  Fallbacks (spanning forest,
+star, matching, greedy) guarantee the best-of result, :func:`report.pick`
+by edges, never loses to the trivial answer.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .hosts import (
     smallest_prime_with_plane_order,
 )
 from .partition import max_kpartite
-from .report import ExtractionReport
+from .report import ExtractionReport, pick
 from .seeds import mix
 
 # internal salts for sub-seed derivation
@@ -373,14 +373,14 @@ def extract_even_cycle_free(
         fam = ForbiddenFamily.even_cycles_up_to(2 * r)
         work = g
 
-    # (graph, method, certified girth or None when not yet certified)
-    candidates: list[tuple[Graph, str, Optional[float]]] = []
+    # (graph, certified girth or None when not yet certified, fields)
+    candidates: list[tuple[Graph, Optional[float], dict]] = []
     value, witness = family_girth(work, fam)
     if witness is None:
-        candidates.append((work, "identity", value))
-    candidates.append((spanning_forest(work), "forest", None))
-    candidates.append((star_fallback(work), "star", None))
-    candidates.append((matching_fallback(work), "matching", None))
+        candidates.append((work, value, {"method": "identity"}))
+    candidates.append((spanning_forest(work), None, {"method": "forest"}))
+    candidates.append((star_fallback(work), None, {"method": "star"}))
+    candidates.append((matching_fallback(work), None, {"method": "matching"}))
 
     # the split, the case and that case's input depend on the input alone
     extract = None
@@ -395,38 +395,19 @@ def extract_even_cycle_free(
             g2 = edge_subgraph(work, lambda e: e[0] in in_v2 and e[1] in in_v2)
             method, extract = "case2", lambda s: case2_extract(g2, r, s, work.m)
 
-    trial_edge_counts = []
+    case_edges = []
     for t in range(trials):
         trial_seed = mix(seed, t)
         if extract is not None:
             out = extract(trial_seed)
-            candidates.append((out, method, certify(out, fam, f"{method} output")))
-            trial_edge_counts.append(out.m)
+            value = certify(out, fam, f"{method} output")
+            candidates.append((out, value, {"method": method}))
+            case_edges.append(out.m)
         gout = greedy_family_free(work, fam, mix(trial_seed, _SALT_GREEDY))
-        candidates.append((gout, "greedy", None))
+        candidates.append((gout, None, {"method": "greedy"}))
 
-    # max keeps the earliest of equal candidates
-    best, method, best_girth = max(candidates, key=lambda c: c[0].m)
-    if best_girth is None:
-        best_girth = certify(best, fam, f"selected {method} output")
-    report = ExtractionReport(
-        input_n=g.n,
-        input_m=g.m,
-        method=method,
-        r=r,
-        trials=trials,
-        seed=seed,
-        output_edges=best.m,
-        output_min_degree=best.min_degree(),
-        output_girth=best_girth,
-        family=fam,
-        extras={
-            "odd_free": odd_free,
-            "trial_mean_edges": (
-                sum(trial_edge_counts) / len(trial_edge_counts)
-                if trial_edge_counts
-                else None
-            ),
-        },
-    )
-    return best, report
+    extras = {
+        "odd_free": odd_free,
+        "trial_mean_edges": sum(case_edges) / len(case_edges) if case_edges else None,
+    }
+    return pick(g, fam, candidates, lambda out: out.m, r, trials, seed, extras)

@@ -1,12 +1,13 @@
-"""Shared extraction-report record and its JSON serialization."""
+"""The candidate race that ends both extractors, :func:`pick`, the
+extraction-report record it alone builds, and the report's JSON text."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from .graph import ForbiddenFamily, girth_json
+from .graph import ForbiddenFamily, Graph, certify, girth_json
 
 SCHEMA_VERSION = 1
 
@@ -15,7 +16,7 @@ SCHEMA_VERSION = 1
 class ExtractionReport:
     """Run record emitted by both extractors.
 
-    An extractor returns a report only for an output that passed
+    Only :func:`pick` builds one, and only for an output that passed
     certification (it raises otherwise), so the certificate status in the
     JSON is always "pass".  ``timing_ms`` is None unless timing was
     explicitly requested, so that identical command lines produce
@@ -59,6 +60,29 @@ class ExtractionReport:
 
     def to_json(self) -> str:
         return dumps(self.to_dict())
+
+
+def pick(
+    g: Graph, fam: ForbiddenFamily, candidates: list, key: Callable,
+    r: int, trials: int, seed: int, extras: dict,
+) -> tuple[Graph, ExtractionReport]:
+    """The earliest of the candidates with the largest ``key``, and its report.
+
+    A candidate is ``(graph, certified girth or None, fields)``: ``fields``
+    holds its ``"method"`` and the report extras it owns, which precede
+    ``extras``.  A winner whose girth is None is certified here, so this is
+    the one place an uncertified output can become a report.
+    """
+    best, girth, fields = max(candidates, key=lambda c: key(c[0]))
+    method = fields["method"]
+    if girth is None:
+        girth = certify(best, fam, f"selected {method} output")
+    own = {k: v for k, v in fields.items() if k != "method"}
+    return best, ExtractionReport(
+        input_n=g.n, input_m=g.m, method=method, r=r, trials=trials, seed=seed,
+        output_edges=best.m, output_min_degree=best.min_degree(),
+        output_girth=girth, family=fam, extras={**own, **extras},
+    )
 
 
 def dumps(doc: dict) -> str:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from girthforge import graph as graph_mod
 from girthforge import hosts as hosts_mod
+from girthforge import report as report_mod
 from girthforge.graph import Graph, pair_from_index
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
@@ -60,7 +61,8 @@ def bipartite_graphs(draw):
 @contextlib.contextmanager
 def each_graph_searched_once(extractor_mod):
     """Record, by object, the graphs passed to ``check_family_free``,
-    ``family_girth`` and ``certify`` at every site that binds them, and
+    ``family_girth`` and ``certify`` at every site that binds them (the
+    verifier, the hosts, the extractor and the race in :mod:`report`), and
     fail as soon as one graph reaches the same step twice.
 
     Yields the step name -> graphs seen mapping.
@@ -80,7 +82,7 @@ def each_graph_searched_once(extractor_mod):
     with contextlib.ExitStack() as stack:
         for name in seen:
             wrapped = recorder(name)
-            for mod in (graph_mod, hosts_mod, extractor_mod):
+            for mod in (graph_mod, hosts_mod, report_mod, extractor_mod):
                 if hasattr(mod, name):
                     stack.enter_context(mock.patch.object(mod, name, wrapped))
         yield seen

@@ -130,6 +130,17 @@ class TestExtract:
             assert code == 0
             assert json.loads(out)["method"] == "identity"
 
+    def test_degree_accepts_empty_edge_list(self, capsys, tmp_path):
+        # as every other subcommand does: the identity candidate exists at n = 0
+        p = tmp_path / "empty.edges"
+        p.write_text("# no edges\n")
+        code, out = run(capsys, ["extract", "degree", "--r", "2", "--in", str(p)])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["method"] == "identity"
+        assert doc["input"] == {"n": 0, "m": 0}
+        assert doc["output"]["edges"] == 0
+
     def test_timing_flag_populates(self, capsys, k7_path):
         code, out = run(
             capsys, ["extract", "edges", "--in", k7_path, "--seed", "1", "--timing"]
