@@ -310,3 +310,27 @@ def reference_even_cycle_meet_in_middle(g: Graph, half: int):
                     continue
                 stack.append((nxt, path + (nxt,), interior | {nxt}))
     return None
+
+
+def reference_case1(g: Graph, split, host_graph: Graph, parts, seed: int):
+    """The case-1 rule written out on its own: bucket vertex i gets part-A
+    color i, the low side gets uniform part-B colors in ``split.v2``
+    order, and a bucket-to-low-side edge (u_i, v) is kept iff the host has
+    the color pair and chi(v) occurs exactly once among the colored
+    neighbors of u_i.  Returns the kept edges in ``g.edges`` order."""
+    bucket = sorted(split.buckets[split.chosen_q])
+    in_bucket, low = set(bucket), set(split.v2)
+    part_a, part_b = parts
+    rng = random.Random(seed)
+    color = {u: part_a[i] for i, u in enumerate(bucket)}
+    for v in split.v2:
+        color[v] = part_b[rng.randrange(len(part_b))]
+    kept = []
+    for e in g.edges:
+        u, v = e if e[0] in in_bucket else (e[1], e[0])
+        if u not in in_bucket or v not in low:
+            continue
+        same = sum(1 for w in g.adjacency[u] if color.get(w) == color[v])
+        if host_graph.has_edge(color[u], color[v]) and same == 1:
+            kept.append(e)
+    return tuple(kept)

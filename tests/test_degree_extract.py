@@ -415,3 +415,45 @@ class TestExtractor:
             extract_spanning_high_girth(g, 1, 0, 1)
         with pytest.raises(ValueError):
             extract_spanning_high_girth(g, 2, 0, 0)
+
+
+class TestDegreeHost:
+    """No host that ``_degree_host`` hands to ``dense_subhost`` has a vertex
+    that low-degree pruning would remove: its order is at most kq + 1, or
+    its minimum degree reaches ceil(m / 4kq)."""
+
+    @staticmethod
+    def _needs_no_pruning(order, m, min_degree, kq):
+        return order <= kq + 1 or min_degree >= -(-m // (4 * kq))
+
+    def test_incidence_rungs(self, monkeypatch):
+        # every kq the extractor reaches at r = 2, from Delta = 1 to the order
+        # cap; each plane's numbers come from the (q+1)-regularity that
+        # incidence_graph_pg2 checks, since PG(2,101) takes seconds to build
+        planes = []
+        monkeypatch.setattr(degree_mod, "incidence_graph_pg2", planes.append)
+        monkeypatch.setattr(degree_mod, "dense_subhost", lambda base, k: base)
+        kq = degree_mod._quantize(math.ceil(2 * math.e**4))
+        kqs = []
+        while kq <= degree_mod._quantize(degree_mod.HOST_ORDER_CAP // 2):
+            degree_mod._degree_host(kq, 2)
+            kqs.append(kq)
+            kq *= 2
+        assert (kqs[0], kqs[-1], len(planes)) == (128, 32768, len(kqs))
+        for kq, q in zip(kqs, planes):
+            n = q * q + q + 1
+            assert self._needs_no_pruning(2 * n, (q + 1) * n, q + 1, kq), (kq, q)
+
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_greedy_rungs(self, monkeypatch, r):
+        bases = []
+        monkeypatch.setattr(
+            degree_mod, "dense_subhost", lambda base, k: bases.append((base, k))
+        )
+        for kq in (128, 256, 512):
+            degree_mod._degree_host(kq, r)
+        assert len(bases) == 3
+        for base, kq in bases:
+            assert self._needs_no_pruning(
+                base.order, base.graph.m, base.min_degree, kq
+            ), (base.label, kq)

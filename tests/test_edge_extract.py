@@ -1,3 +1,4 @@
+import hashlib
 import random
 from unittest import mock
 
@@ -34,10 +35,38 @@ from girthforge.edge_extract import (
     split_and_bucket,
     star_fallback,
 )
-from bruteforce import has_forbidden
+from bruteforce import has_forbidden, reference_case1
 from conftest import each_graph_searched_once, small_graphs
 
 EVEN4 = ForbiddenFamily("even", 4)
+
+
+def _hub_graph(hubs: int, low: int, moves: int, seed: int) -> Graph:
+    """K_{hubs,low} (low >= 4 hubs) after ``moves`` random pair toggles,
+    each kept only while every hub h has d(h)^2 >= 4m and the hub-to-low
+    edges are at least m/4; vertices are relabeled at random.  The hubs
+    stay on the high side, so case 1 applies."""
+    rng = random.Random(seed)
+    n = hubs + low
+    edges = {(h, v) for h in range(hubs) for v in range(hubs, n)}
+    deg = [low] * hubs + [hubs] * low
+    cross = len(edges)
+    for _ in range(moves):
+        u, v = e = tuple(sorted(rng.sample(range(n), 2)))
+        step = -1 if e in edges else 1
+        deg[u] += step
+        deg[v] += step
+        m = len(edges) + step
+        hub_low = cross + step * (u < hubs <= v)
+        if min(deg[:hubs]) ** 2 >= 4 * m and 4 * hub_low >= m:
+            edges ^= {e}
+            cross = hub_low
+        else:
+            deg[u] -= step
+            deg[v] -= step
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in sorted(edges)])
 
 
 class TestSplitAndBucket:
@@ -108,6 +137,22 @@ class TestHostLabeledSubgraphs:
         assert h_star(g, chi, host).m == 0
 
 
+# (k, b, r) -> sha256 of the case-1 host's label, edges and parts: the star
+# host, the trimmed incidence graph (r = 2) and the trimmed double cover
+# (r >= 3), each recorded before their two trims became one
+CASE1_HOST_DIGESTS = {
+    (1, 9, 2): "d582e8f1f77249b805fff0d204d4e7be3b2370369f7523067c32433b0fe6e949",
+    (5, 20, 2): "3752d03269b4753b160176ca9fe6b28fb6f6aa86c23d29b110a4b7e49184e162",
+    (12, 150, 2): "9166cd2b3f07c31b9fdf9bb21d149695b4b3e3c89b749fc48ec8be65f408d535",
+    (40, 10, 2): "e40ea33afe7b1b0e2fadeff879d14c39dfe7c428a58d634f884dc8e9aedf0381",
+    (5, 20, 3): "8d7aee2cf2db70ae35388e8d90a9e523f758e68e94e472d9125461b58f31fe77",
+    (20, 80, 3): "efddcf4e6a23f62b16e181f97cb31fdeaa3a7f96426fcc1ab5a6d3d2f350719a",
+    (30, 150, 3): "30c54b7976356db446bc2c395daa526673707614eedfdee02881483c0da2d641",
+    (25, 100, 4): "41279e79a85da9008a8753e31026824a047a462cfa407c8492173292b2d2bb13",
+    (2, 8, 5): "7ea2c4fc66a203c758883f6fc0ed43cd720de690c98f3c351d2a4cd50393f989",
+}
+
+
 class TestCase1:
     def test_host_parts_sized(self):
         host = _case1_host(3, 20, 2)
@@ -134,6 +179,30 @@ class TestCase1:
         wrong = _case1_host(2, 9, 2)
         with pytest.raises(ValueError):
             case1_extract(g, split, wrong, 2, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hubs=st.integers(1, 24),
+        slack=st.integers(0, 40),
+        moves=st.integers(0, 300),
+        graph_seed=st.integers(0, 2**32 - 1),
+        r=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_rule(self, hubs, slack, moves, graph_seed, r, seed):
+        g = _hub_graph(hubs, 4 * hubs + slack, moves, graph_seed)
+        split = split_and_bucket(g)
+        assert split.chosen_q is not None and 4 * split.edges_v1_v2 >= g.m
+        k = len(split.buckets[split.chosen_q])
+        host = _case1_host(k, -(-g.m // k), r)
+        out = case1_extract(g, split, host, r, seed)
+        assert out.edges == reference_case1(g, split, host.graph, host.parts, seed)
+
+    @pytest.mark.parametrize("k, b, r", sorted(CASE1_HOST_DIGESTS))
+    def test_host_digests(self, k, b, r):
+        host = _case1_host(k, b, r)
+        blob = repr((host.label, host.graph.edges, host.parts)).encode()
+        assert hashlib.sha256(blob).hexdigest() == CASE1_HOST_DIGESTS[(k, b, r)]
 
 
 class TestCase2:

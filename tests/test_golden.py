@@ -85,8 +85,9 @@ def test_extract_edges_digests(case, sparse_path, tmp_path):
 
 
 # r -> (sha256 of stdout, sha256 of the --out file); K_{5,20} is the input
-# that reaches case 1, with the incidence-trim host at r = 2 and the
-# cover-trim host at r = 3
+# that reaches case 1, with the incidence-trim host at r = 2 and the star
+# host at r = 3 (the girth-7 cover of 20 vertices has fewer than 20 edges
+# at its top 5 vertices)
 CASE1_CASES = {
     "2": (
         "606c47fa4279bf9fe3d682ff229d3a903ba0c26ba7e8c7c09f901f66d93e043a",
