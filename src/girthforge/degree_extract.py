@@ -283,18 +283,22 @@ def _quantize(k: int) -> int:
     return 1 << (k - 1).bit_length()
 
 
-def _degree_host(k_quantized: int, r: int) -> HostGraph:
-    """Girth >= 2r+2 host of order near 2k via dense_subhost.
+def _degree_host(k_quantized: int, r: int) -> Optional[HostGraph]:
+    """Girth >= 2r+2 host of order near 2k via dense_subhost, or None when
+    no such host fits the order.
 
     r = 2 uses a projective incidence graph (girth exactly 6) of plane order
     at most MAX_PLANE_ORDER; r >= 3 the greedy construction, capped at a
-    desk-scale order.  The caller flags either cap binding as size_capped.
+    desk-scale order, which has no girth-(2r+2) graph below 2r + 2
+    vertices.  The caller flags either cap binding as size_capped.
     """
     if r == 2:
         q = min(smallest_prime_with_plane_order(k_quantized), MAX_PLANE_ORDER)
         base = incidence_graph_pg2(q)
     else:
         n = min(2 * k_quantized, GREEDY_HOST_ORDER)
+        if n < 2 * r + 2:
+            return None
         base = greedy_high_girth(n, 2 * r + 2, 0)
     return dense_subhost(base, k_quantized)
 
@@ -308,12 +312,16 @@ def extract_spanning_high_girth(
     frugality is t = max(1, ceil(ln Delta)).  Each trial resamples a
     coloring, takes the host-edge subgraph, and thins it by edge
     retention; the identity (when already certified) and a spanning forest
-    always compete, so a certified candidate exists for every input.
+    always compete, so a certified candidate exists for every input.  With
+    no edges, or no host of girth 2r+2 at the chosen order, no trial runs
+    and the report has no host fields.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     fam = ForbiddenFamily.all_cycles_up_to(2 * r + 1)
     delta_max = g.max_degree()
 
@@ -335,11 +343,13 @@ def extract_spanning_high_girth(
 
     host_meta: dict = {}
     degraded_trials = 0
+    host = None
     if g.m > 0:
         k_raw = math.ceil(2 * math.e**4 * delta_max)
         k = min(k_raw, HOST_ORDER_CAP // 2)
         kq = _quantize(k)
         host = _degree_host(kq, r)
+    if host is not None:
         capped = k < k_raw or host.order < 2 * kq
         t = max(1, math.ceil(math.log(delta_max)))
         q = max(1, host.min_degree)

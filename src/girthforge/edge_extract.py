@@ -1,9 +1,10 @@
 """Even-cycle-free subgraph extraction with many edges.
 
 Pipeline: split vertices at degree 2*sqrt(m), bucket the high-degree side
-dyadically, then either embed the chosen bucket against a bipartite host
-(case 1) or randomly label the low-degree side into a bipartized host and
-keep doubly color-unique edges (case 2).  Fallbacks (spanning forest,
+dyadically, then label either the chosen bucket and the low side into a
+bipartite host (case 1) or the low side alone into a bipartized host
+(case 2); both cases keep the :func:`h_star` edges, those whose color pair
+is a host edge and whose colors are unique at both ends.  Fallbacks (spanning forest,
 star, matching, greedy) guarantee the best-of result, :func:`report.pick`
 by edges, never loses to the trivial answer.
 """
@@ -143,11 +144,13 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     """Bipartite even-cycle-free host with parts sized exactly (k, b).
 
     Best by edge count of: the star host (one part-A center joined to all
-    of B); for r = 2 a doubly trimmed projective incidence graph (skipped
-    above plane order MAX_PLANE_ORDER); for r >= 3 a doubly trimmed
-    bipartite double cover of a greedy high-girth graph (skipped when the
-    needed side is below the girth 2r + 1 or above the greedy cap).  Built
-    once per extractor call from the cached hosts of :mod:`hosts`.
+    of B), and one bipartite base trimmed to the top k of its first side
+    and the top b of its second.  The base is for r = 2 the projective
+    incidence graph (skipped above plane order MAX_PLANE_ORDER), for
+    r >= 3 the bipartite double cover of a greedy girth-(2r + 1) graph
+    (skipped when the needed side is below 2r + 1 or above the greedy
+    cap).  Built once per extractor call from the cached hosts of
+    :mod:`hosts`.
     """
     fam = ForbiddenFamily.even_cycles_up_to(2 * r)
     candidates: list[tuple[Graph, tuple, str]] = []
@@ -159,39 +162,39 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     )
 
     side = max(k, b)
+    base = None
     if r == 2:
         q = smallest_prime_with_plane_order(side)
         if q <= MAX_PLANE_ORDER:
             inc = incidence_graph_pg2(q)
-            trimmed, parts = bipartite_trim(inc.graph, inc.parts, k)
-            # trim the second side too: swap parts and keep the top b
-            trimmed, (pb, pa) = bipartite_trim(trimmed, (parts[1], parts[0]), b)
-            candidates.append((trimmed, (pa, pb), f"incidence-trim(q={q})"))
-    elif r >= 3 and 2 * r + 1 <= side <= _COVER_SIDE_CAP:
-        base = greedy_high_girth(side, 2 * r + 1, 0).graph
-        cover_edges = [
-            (u, side + v) for u, v in base.edges
-        ] + [(v, side + u) for u, v in base.edges]
-        cover = Graph.from_edges(2 * side, cover_edges)
+            base, parts, name = inc.graph, inc.parts, f"incidence-trim(q={q})"
+    elif 2 * r + 1 <= side <= _COVER_SIDE_CAP:
+        edges = greedy_high_girth(side, 2 * r + 1, 0).graph.edges
+        cover = [(u, side + v) for u, v in edges] + [(v, side + u) for u, v in edges]
+        base = Graph.from_edges(2 * side, cover)
         parts = (tuple(range(side)), tuple(range(side, 2 * side)))
-        trimmed, parts = bipartite_trim(cover, parts, k)
+        name = f"cover-trim(n={side})"
+    if base is not None:
+        trimmed, parts = bipartite_trim(base, parts, k)
+        # trim the second side too: swap parts and keep the top b
         trimmed, (pb, pa) = bipartite_trim(trimmed, (parts[1], parts[0]), b)
-        candidates.append((trimmed, (pa, pb), f"cover-trim(n={side})"))
+        candidates.append((trimmed, (pa, pb), name))
 
     graph, parts, name = max(candidates, key=lambda c: (c[0].m, c[2] == "star-host"))
     label = f"case1:{name}(k={k},b={b},r={r})"
     return certify_host(graph, fam, label=label, parts=parts)
 
 
-def case1_extract(
-    g: Graph, split: DegreeSplit, host: HostGraph, r: int, seed: int
-) -> Graph:
-    """Keep bucket-to-low-side edges whose low endpoint got a good color.
+def case1_extract(g: Graph, split: DegreeSplit, host: HostGraph, seed: int) -> Graph:
+    """:func:`h_star` of the edges between the chosen bucket and the low
+    side.
 
-    Bucket vertices get fixed distinct part-A colors; the low side is
-    colored uniformly from part B; edge (u_i, v) survives iff the host has
-    the color pair and chi(v) appears exactly once among all neighbors of
-    u_i.  The result is bipartite and inherits the host's even-cycle
+    Bucket vertex i gets part-A color i and the low side uniform part-B
+    colors, drawn in ``split.v2`` order; the rest of V1 has no edge in
+    that subgraph and gets part-A color 0.  An edge (u_i, v) survives iff
+    the host has the color pair and chi(v) occurs once among u_i's low
+    neighbors: the bucket colors are distinct, so the test at v always
+    holds.  The result is bipartite and inherits the host's even-cycle
     freeness (certified by the caller regardless).
     """
     if host.parts is None:
@@ -209,30 +212,19 @@ def case1_extract(
             f"host part sizes {(len(part_a), len(part_b))} != required {(k, b)}"
         )
     rng = random.Random(seed)
-    color: dict[int, int] = {}
+    colors = [part_a[0]] * g.n
     for i, u in enumerate(bucket):
-        color[u] = part_a[i]
+        colors[u] = part_a[i]
     for v in split.v2:
-        color[v] = part_b[rng.randrange(b)]
-    host_adj = host.graph.adjacency_sets
+        colors[v] = part_b[rng.randrange(b)]
     in_bucket = set(bucket)
     in_v2 = set(split.v2)
-    # how many colored G-neighbors of u carry each color
-    neighbor_color_count = {
-        u: Counter(color[w] for w in g.adjacency[u] if w in color)
-        for u in bucket
-    }
-
-    def keep(e):
-        u, v = e
-        if u in in_v2 and v in in_bucket:
-            u, v = v, u
-        if u not in in_bucket or v not in in_v2:
-            return False
-        cv = color[v]
-        return cv in host_adj[color[u]] and neighbor_color_count[u][cv] == 1
-
-    return edge_subgraph(g, keep)
+    cross = edge_subgraph(
+        g,
+        lambda e: (e[0] in in_bucket and e[1] in in_v2)
+        or (e[0] in in_v2 and e[1] in in_bucket),
+    )
+    return h_star(cross, VertexColoring(tuple(colors), host.graph.n), host)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +374,16 @@ def extract_even_cycle_free(
     candidates.append((star_fallback(work), None, {"method": "star"}))
     candidates.append((matching_fallback(work), None, {"method": "matching"}))
 
-    # the split, the case and that case's input depend on the input alone
+    # the split, the case and that case's input depend on the input alone;
+    # case 2 is skipped when no host of its order cap has girth 2r + 1
     extract = None
     if work.m >= 1:
         split = split_and_bucket(work)
         if 4 * split.edges_v1_v2 >= work.m and split.chosen_q is not None:
             k = len(split.buckets[split.chosen_q])
             host = _case1_host(k, -(-work.m // k), r)
-            method, extract = "case1", lambda s: case1_extract(work, split, host, r, s)
-        else:
+            method, extract = "case1", lambda s: case1_extract(work, split, host, s)
+        elif 2 * r + 1 <= GREEDY_ORDER_CAP:
             in_v2 = set(split.v2)
             g2 = edge_subgraph(work, lambda e: e[0] in in_v2 and e[1] in in_v2)
             method, extract = "case2", lambda s: case2_extract(g2, r, s, work.m)

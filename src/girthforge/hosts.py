@@ -11,7 +11,6 @@ memoized functions, each by a bounded cache.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -73,7 +72,6 @@ def certify_host(
     family: Optional[ForbiddenFamily],
     label: str,
     parts=None,
-    degraded: bool = False,
 ) -> HostGraph:
     """Certify ``graph`` and assemble its HostGraph; raises
     CertificationError on failure.
@@ -93,7 +91,6 @@ def certify_host(
         min_degree=graph.min_degree(),
         label=label,
         parts=parts,
-        degraded=degraded,
     )
 
 
@@ -336,49 +333,24 @@ def _ball_layers(
 
 
 def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
-    """Subgraph of order in (k, 2k] and large min degree via low-degree pruning.
+    """The parent host under a ``dense_subhost(k=...)`` label, with its
+    certificate.
 
-    The degree threshold is the construction's own edge count over 4k.  If
-    pruning would drop the order to <= k, the last iterate with order > k is
-    returned with its achieved min degree and flagged degraded; if the input
-    order already exceeds 2k the (possibly pruned) result is flagged too.
-
-    When nothing can be pruned (order <= k + 1, or the parent's min degree
-    meets the threshold) the parent is returned under the new label with
-    its certificate; a pruned subgraph is certified against the parent's
-    family by one :func:`certify_host` call (one girth search for all:L).
+    Flagged degraded when its order exceeds 2k or its minimum degree is
+    below the threshold ceil(m / 4k).  Low-degree pruning is never needed
+    for the hosts :func:`degree_extract._degree_host` passes: at r = 2 the
+    PG(2,q) incidence graph has degree q + 1 = 12-102 against a threshold
+    of 4-29 for every kq from 128 to 16384, and order <= kq + 1 at 32768;
+    at r >= 3 the greedy hosts (at most 400 vertices, kq >= 128) have
+    threshold 1 and, being maximal, minimum degree >= 1.
+    ``TestDegreeHost`` in the degree extractor's tests re-checks both.
     """
     if k < 1:
         raise ValueError("target size must be >= 1")
-    g = g_prime.graph
-    threshold = -(-g.m // (4 * k))  # ceil(m / 4k)
+    threshold = -(-g_prime.graph.m // (4 * k))  # ceil(m / 4k)
+    degraded = g_prime.order > 2 * k or g_prime.min_degree < threshold
     label = f"dense_subhost(k={k}) of {g_prime.label}"
-    if g.n <= k + 1 or g_prime.min_degree >= threshold:
-        degraded = g.n > 2 * k or g_prime.min_degree < threshold
-        return replace(g_prime, label=label, degraded=degraded)
-    degraded = g.n > 2 * k
-    alive = [True] * g.n
-    deg = list(g.degrees())
-    order = g.n
-    # lowest-index victim first; lazily revalidated heap
-    candidates = [v for v in range(g.n) if deg[v] < threshold]
-    heapq.heapify(candidates)
-    while order > k + 1 and candidates:
-        victim = heapq.heappop(candidates)
-        if not alive[victim] or deg[victim] >= threshold:
-            continue
-        alive[victim] = False
-        order -= 1
-        for w in g.adjacency[victim]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < threshold:
-                    heapq.heappush(candidates, w)
-    if any(alive[v] and deg[v] < threshold for v in range(g.n)):
-        degraded = True
-    keep = [v for v in range(g.n) if alive[v]]
-    sub, _ = induced_subgraph(g, keep)
-    return certify_host(sub, g_prime.certified_family, label=label, degraded=degraded)
+    return replace(g_prime, label=label, degraded=degraded)
 
 
 def bipartite_trim(

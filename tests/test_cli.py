@@ -141,6 +141,26 @@ class TestExtract:
         assert doc["input"] == {"n": 0, "m": 0}
         assert doc["output"]["edges"] == 0
 
+    @pytest.mark.parametrize("mode, r", [("degree", 200), ("edges", 1500)])
+    def test_large_r_without_host_keeps_identity(self, capsys, tmp_path, mode, r):
+        # no host of the needed girth fits the order the extractor picks,
+        # so only the identity, the forest and (edges) greedy compete
+        p = tmp_path / "path.edges"
+        p.write_text("0 1\n1 2\n")
+        code, out = run(capsys, ["extract", mode, "--r", str(r), "--in", str(p)])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["method"] == "identity"
+        assert doc["output"]["edges"] == 2
+        assert "host" not in doc
+
+    def test_degree_rejects_zero_rounds_without_edges(self, capsys, tmp_path):
+        p = tmp_path / "empty.edges"
+        p.write_text("# no edges\n")
+        code = main(["extract", "degree", "--max-rounds", "0", "--in", str(p)])
+        assert code == 1
+        assert "max_rounds must be >= 1" in capsys.readouterr().err
+
     def test_timing_flag_populates(self, capsys, k7_path):
         code, out = run(
             capsys, ["extract", "edges", "--in", k7_path, "--seed", "1", "--timing"]

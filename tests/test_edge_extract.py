@@ -167,7 +167,7 @@ class TestCase1:
         k = len(split.buckets[split.chosen_q])
         b = -(-g.m // k)
         host = _case1_host(k, b, 2)
-        out = case1_extract(g, split, host, 2, 5)
+        out = case1_extract(g, split, host, 5)
         assert check_family_free(out, EVEN4).free
         bucket = set(split.buckets[split.chosen_q])
         assert all((u in bucket) != (v in bucket) for u, v in out.edges)
@@ -178,7 +178,7 @@ class TestCase1:
         host = _case1_host(1, 9, 2)
         wrong = _case1_host(2, 9, 2)
         with pytest.raises(ValueError):
-            case1_extract(g, split, wrong, 2, 0)
+            case1_extract(g, split, wrong, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -195,7 +195,7 @@ class TestCase1:
         assert split.chosen_q is not None and 4 * split.edges_v1_v2 >= g.m
         k = len(split.buckets[split.chosen_q])
         host = _case1_host(k, -(-g.m // k), r)
-        out = case1_extract(g, split, host, r, seed)
+        out = case1_extract(g, split, host, seed)
         assert out.edges == reference_case1(g, split, host.graph, host.parts, seed)
 
     @pytest.mark.parametrize("k, b, r", sorted(CASE1_HOST_DIGESTS))

@@ -220,20 +220,6 @@ class TestPruneAndDense:
         assert sub.certified_girth >= 6
         assert check_family_free(sub.graph, ForbiddenFamily("even", 4)).free
 
-    @pytest.mark.parametrize(
-        "n, min_girth, k, order, expected_girth",
-        [(60, 5, 10, 11, INFINITE), (120, 7, 20, 114, 7)],
-    )
-    def test_dense_subhost_pruned(self, n, min_girth, k, order, expected_girth):
-        # greedy parents have low-degree vertices, so these are pruned and
-        # certified afresh against the parent's family
-        base = greedy_high_girth(n, min_girth, 0)
-        sub = dense_subhost(base, k)
-        assert base.order == n and sub.order == order
-        assert sub.certified_girth == girth(sub.graph) == expected_girth
-        assert sub.certified_family == base.certified_family
-        assert sub.degraded
-
     def test_dense_subhost_order_window(self):
         base = incidence_graph_pg2(5)
         k = 10
