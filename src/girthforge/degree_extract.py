@@ -4,8 +4,12 @@ A uniform coloring against a high-girth host induces the host-edge
 subgraph; resampling clears degree-deficiency and frugality violations
 (a constructive stand-in for a local-lemma existence argument); a
 random-weight local-minimum rule then thins each color-class pair to a
-matching, which forces high girth.  Every candidate is certified when
-made, and :func:`report.pick` ranks them by (minimum degree, edges).
+matching, which forces high girth.  The resampler keeps type-A
+(degree-deficiency) events exactly and incrementally, since it reads
+them every round; it looks up the first type-B (frugality) event only
+when no type-A event is left, and :func:`find_bad_events` counts the
+residual at the round cap.  Every candidate is certified when made,
+and :func:`report.pick` ranks them by (minimum degree, edges).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .graph import (
 )
 from .edge_extract import h_prime, spanning_forest
 from .hosts import (
+    DESK_GREEDY_ORDER,
     MAX_PLANE_ORDER,
     HostGraph,
     dense_subhost,
@@ -40,7 +45,6 @@ from .seeds import mix
 _SALT_WEIGHTS = 515
 
 HOST_ORDER_CAP = 50_000  # hard cap on host order
-GREEDY_HOST_ORDER = 400  # desk-scale cap for the greedy girth>=2r+2 host
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,8 @@ def resample_until_clear(
     else lowest (vertex, color) type-B event) is resampled: type A redraws
     the vertex and its whole neighborhood, type B only the witness set.
     As in Moser and Tardos's algorithm, a redraw changes only the events
-    at the redrawn vertices and their neighbors, so after one full
-    :func:`find_bad_events` scan the state is kept up to date locally:
+    at the redrawn vertices and their neighbors.  Type A is read every
+    round, so it is kept exactly and incrementally:
 
     * d'(v), the number of neighbors of v whose colors are host-adjacent
       to v's, is an exact counter.  A recolored vertex x moves it by
@@ -147,27 +151,24 @@ def resample_until_clear(
       was not redrawn, and each redrawn vertex recounts its own, so the
       type-A set is exact after every round at O(sum of the redrawn
       vertices' degrees).
-    * Type-B state (colors held by more than t neighbors) is refreshed
-      lazily: neighbors of recolored vertices are marked dirty and
-      recounted only when that state is read, that is when no type-A
-      event is left or at the round cap.  A picked type-B event's
-      witness is the t+1 smallest neighbors of its color.
+    * Type B (colors held by more than t neighbors) is read only when no
+      type-A event is left: the first one is looked up then, the lowest
+      vertex with such a color and its lowest one.  Its witness is the
+      t+1 smallest neighbors of that color.
 
     Hitting ``max_rounds`` returns the final coloring flagged degraded
-    together with its residual event count (never silent).
+    together with its residual event count, the length of one
+    :func:`find_bad_events` scan (never silent).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if q < 1 or t < 1:
+        raise ValueError("need q >= 1 and t >= 1")
     ell = host.graph.n
     rng = random.Random(seed)
-    chi = VertexColoring.uniform(g.n, ell, rng)
-    type_b: dict[int, list[int]] = {}  # vertex -> over-represented colors, ascending
-    for event in find_bad_events(g, chi, host, q, t):
-        if event.tag == "B":
-            type_b.setdefault(event.vertex, []).append(event.color)
     adj = g.adjacency
     host_adj = host.graph.adjacency_sets
-    colors = list(chi.colors)
+    colors = list(VertexColoring.uniform(g.n, ell, rng).colors)
     d_prime = [
         sum(map(host_adj[colors[v]].__contains__, map(colors.__getitem__, nbrs)))
         for v, nbrs in enumerate(adj)
@@ -175,34 +176,27 @@ def resample_until_clear(
     # v has a type-A event exactly when d'(v) <= cap[v] (2*ell*d' <= q*d)
     cap = [q * len(nbrs) // (2 * ell) if nbrs else -1 for nbrs in adj]
     type_a = {v for v, d in enumerate(d_prime) if d <= cap[v]}
-    dirty: set[int] = set()  # vertices whose type-B state may be stale
 
-    def refresh_type_b() -> None:
-        for v in dirty:
-            over = _crowded_colors([colors[w] for w in adj[v]], t)
+    def first_crowded() -> Optional[tuple[int, int]]:
+        """The lowest vertex with a color held by more than t neighbors,
+        and its lowest such color; None when there is none."""
+        for v, nbrs in enumerate(adj):
+            over = _crowded_colors([colors[w] for w in nbrs], t)
             if over:
-                type_b[v] = over
-            else:
-                type_b.pop(v, None)
-        dirty.clear()
+                return v, over[0]
+        return None
 
     rounds = 0
-    while True:
-        if not type_a:
-            refresh_type_b()
-            if not type_b:
-                break
+    while type_a or (crowded := first_crowded()) is not None:
         if rounds >= max_rounds:
-            refresh_type_b()
-            residual = len(type_a) + sum(map(len, type_b.values()))
             chi = VertexColoring(tuple(colors), ell)
+            residual = len(find_bad_events(g, chi, host, q, t))
             return ResampleResult(chi, rounds, True, residual)
         if type_a:
             v = min(type_a)
             targets = (v,) + adj[v]
         else:
-            v = min(type_b)
-            color = type_b[v][0]
+            v, color = crowded
             targets = tuple(w for w in adj[v] if colors[w] == color)[: t + 1]
         rounds += 1
         redrawn = set(targets)
@@ -211,9 +205,7 @@ def resample_until_clear(
             cn = colors[x] = rng.randrange(ell)
             if cn == co:
                 continue
-            nbrs = adj[x]
-            dirty.update(nbrs)
-            for y in nbrs:
+            for y in adj[x]:
                 if y in redrawn:
                     continue  # recounted below
                 own = host_adj[colors[y]]
@@ -296,7 +288,7 @@ def _degree_host(k_quantized: int, r: int) -> Optional[HostGraph]:
         q = min(smallest_prime_with_plane_order(k_quantized), MAX_PLANE_ORDER)
         base = incidence_graph_pg2(q)
     else:
-        n = min(2 * k_quantized, GREEDY_HOST_ORDER)
+        n = min(2 * k_quantized, DESK_GREEDY_ORDER)
         if n < 2 * r + 2:
             return None
         base = greedy_high_girth(n, 2 * r + 2, 0)

@@ -27,6 +27,7 @@ from .graph import (
     family_girth,
 )
 from .hosts import (
+    DESK_GREEDY_ORDER,
     GREEDY_ORDER_CAP,
     MAX_PLANE_ORDER,
     HostGraph,
@@ -46,9 +47,6 @@ _SALT_PARTITION = 101
 _SALT_COLORING = 202
 _SALT_GREEDY = 303
 _SALT_ODDFREE = 404
-
-# greedy bipartite hosts beyond this side size fall back to the star host
-_COVER_SIDE_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,9 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     and the top b of its second.  The base is for r = 2 the projective
     incidence graph (skipped above plane order MAX_PLANE_ORDER), for
     r >= 3 the bipartite double cover of a greedy girth-(2r + 1) graph
-    (skipped when the needed side is below 2r + 1 or above the greedy
-    cap).  Built once per extractor call from the cached hosts of
-    :mod:`hosts`.
+    (skipped when the needed side is below 2r + 1 or above
+    DESK_GREEDY_ORDER).  Built once per extractor call from the cached
+    hosts of :mod:`hosts`.
     """
     fam = ForbiddenFamily.even_cycles_up_to(2 * r)
     candidates: list[tuple[Graph, tuple, str]] = []
@@ -168,7 +166,7 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
         if q <= MAX_PLANE_ORDER:
             inc = incidence_graph_pg2(q)
             base, parts, name = inc.graph, inc.parts, f"incidence-trim(q={q})"
-    elif 2 * r + 1 <= side <= _COVER_SIDE_CAP:
+    elif 2 * r + 1 <= side <= DESK_GREEDY_ORDER:
         edges = greedy_high_girth(side, 2 * r + 1, 0).graph.edges
         cover = [(u, side + v) for u, v in edges] + [(v, side + u) for u, v in edges]
         base = Graph.from_edges(2 * side, cover)
@@ -375,7 +373,8 @@ def extract_even_cycle_free(
     candidates.append((matching_fallback(work), None, {"method": "matching"}))
 
     # the split, the case and that case's input depend on the input alone;
-    # case 2 is skipped when no host of its order cap has girth 2r + 1
+    # case 2 is skipped at r >= 3 when girth 2r + 1 exceeds the greedy cap
+    # or its target host order ceil(2 sqrt(m)) (exactly when m <= r^2)
     extract = None
     if work.m >= 1:
         split = split_and_bucket(work)
@@ -383,7 +382,7 @@ def extract_even_cycle_free(
             k = len(split.buckets[split.chosen_q])
             host = _case1_host(k, -(-work.m // k), r)
             method, extract = "case1", lambda s: case1_extract(work, split, host, s)
-        elif 2 * r + 1 <= GREEDY_ORDER_CAP:
+        elif r == 2 or (r * r < work.m and 2 * r + 1 <= GREEDY_ORDER_CAP):
             in_v2 = set(split.v2)
             g2 = edge_subgraph(work, lambda e: e[0] in in_v2 and e[1] in in_v2)
             method, extract = "case2", lambda s: case2_extract(g2, r, s, work.m)

@@ -28,6 +28,7 @@ from .graph import (
 )
 
 GREEDY_ORDER_CAP = 3000  # all-pairs permutation kept in memory
+DESK_GREEDY_ORDER = 400  # largest greedy host built for a desk-scale step
 MAX_PLANE_ORDER = 101  # largest prime q of a PG(2,q) host
 
 

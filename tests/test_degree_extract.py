@@ -95,6 +95,16 @@ class TestFindBadEvents:
         assert find_bad_events(g, chi, host, 2 * ell, 1) != []
         assert find_bad_events(g, chi, host, 2 * ell - 1, 1) == []
 
+    def test_rejects_bad_params(self):
+        host = _host()
+        g = Graph.from_edges(2, [(0, 1)])
+        chi = VertexColoring((0, 1), host.graph.n)
+        with pytest.raises(ValueError, match="color count must equal the host order"):
+            find_bad_events(g, VertexColoring((0, 1), 2), host, 1, 1)
+        for q, t in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="need q >= 1 and t >= 1"):
+                find_bad_events(g, chi, host, q, t)
+
 
 class TestResample:
     def test_clears_on_easy_instance(self):
@@ -112,6 +122,17 @@ class TestResample:
         g = complete_bipartite(1, 30)
         res = resample_until_clear(g, host, 1, 1, seed=1, max_rounds=1)
         assert res.degraded and res.residual_events > 0
+
+    def test_rejects_bad_params(self):
+        host = _host()
+        g = random_gnm(15, 20, 2)
+        with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+            resample_until_clear(g, host, 1, 1, 0, 0)
+        # edgeless, so the run would clear at once without the check
+        empty = Graph.from_edges(3, [])
+        for q, t in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="need q >= 1 and t >= 1"):
+                resample_until_clear(empty, host, q, t, 0, 10)
 
     def test_deterministic(self):
         host = _host()
@@ -202,12 +223,14 @@ class TestResample:
         got = (res.coloring.colors, res.rounds, res.degraded, res.residual_events)
         assert got == reference_resample(g, host.graph, 1, 1, 0, 60)
 
-    def test_one_full_scan_per_call(self, monkeypatch):
+    def test_scans_once_at_the_cap_only(self, monkeypatch):
+        # the residual count is the only find_bad_events call: one per
+        # capped run, on its final coloring, and none for a run that clears
         calls = []
         scan = degree_mod.find_bad_events
 
         def counted(*args):
-            calls.append(args[0])
+            calls.append(args)
             return scan(*args)
 
         monkeypatch.setattr(degree_mod, "find_bad_events", counted)
@@ -218,10 +241,17 @@ class TestResample:
             (random_gnm(30, 90, 3), 1, 1, 0, 60),  # capped, both types left
             (complete(8), 1, 1, 0, 64),  # clears after a type-B phase
         ]
-        for i, (g, q, t, seed, cap) in enumerate(runs, start=1):
+        capped = []
+        for g, q, t, seed, cap in runs:
+            before = len(calls)
             res = resample_until_clear(g, host, q, t, seed, cap)
             assert res.rounds > 0
-            assert len(calls) == i and calls[-1] is g
+            assert len(calls) - before == res.degraded
+            if res.degraded:
+                assert res.rounds == cap
+                assert calls[-1][0] is g and calls[-1][1] == res.coloring
+            capped.append(res.degraded)
+        assert capped == [False, True, True, False]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -246,6 +276,12 @@ class TestEdgeRetention:
         chi = VertexColoring((3, 3), 5)
         with pytest.raises(ValueError):
             edge_retention(g, chi, EdgeWeights.random(1, 0))
+
+    def test_rejects_wrong_weight_count(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        chi = VertexColoring((0, 1), 2)
+        with pytest.raises(ValueError, match="weight vector length"):
+            edge_retention(g, chi, EdgeWeights.random(2, 0))
 
     def test_single_edge_always_kept(self):
         g = Graph.from_edges(2, [(0, 1)])

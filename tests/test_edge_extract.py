@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -127,6 +128,15 @@ class TestHostLabeledSubgraphs:
             expected = chi.colors[v] in hadj[chi.colors[u]]
             assert ((u, v) in set(hp.edges)) == expected
 
+    @pytest.mark.parametrize("label", [h_prime, h_star])
+    def test_rejects_coloring_that_does_not_fit(self, label):
+        host = incidence_graph_pg2(2)
+        g = complete(3)
+        with pytest.raises(ValueError, match="does not cover the vertex set"):
+            label(g, VertexColoring((0, 1), host.graph.n), host)
+        with pytest.raises(ValueError, match="more colors than the host"):
+            label(g, VertexColoring((0, 1, 2), host.graph.n + 1), host)
+
     def test_h_star_frugality(self):
         # two neighbors of 0 share a color: both their edges must vanish
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
@@ -179,6 +189,12 @@ class TestCase1:
         wrong = _case1_host(2, 9, 2)
         with pytest.raises(ValueError):
             case1_extract(g, split, wrong, 0)
+        with pytest.raises(ValueError, match="must carry a bipartition"):
+            case1_extract(g, split, replace(host, parts=None), 0)
+        with pytest.raises(ValueError, match="no usable bucket"):
+            case1_extract(g, replace(split, chosen_q=None), host, 0)
+        with pytest.raises(ValueError, match=r"requires e\(V1,V2\) >= m/4"):
+            case1_extract(g, replace(split, edges_v1_v2=1), host, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -351,6 +367,18 @@ class TestExtractor:
         ) as host:
             extract_even_cycle_free(complete_bipartite(5, 20), 2, 4, 5)
         assert (split.call_count, host.call_count) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "n, r, runs", [(9, 3, False), (10, 3, True), (3, 1499, False)]
+    )
+    def test_case2_needs_target_order_above_girth(self, n, r, runs):
+        # on C_n case 2 aims at a host of order ceil(2 sqrt(n)); at r >= 3 it
+        # runs only when that order reaches the girth 2r + 1 (n > r^2)
+        cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        with mock.patch.object(edge_mod, "case2_extract", wraps=case2_extract) as case2:
+            _, report = extract_even_cycle_free(cycle, r, 2, 0)
+        assert case2.call_count == (2 if runs else 0)
+        assert (report.extras["trial_mean_edges"] is not None) == runs
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_small_star_is_identity(self, r):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from girthforge.graph import (
     CertificationError,
+    CycleWitness,
     EdgeListParseError,
     ForbiddenFamily,
     Graph,
@@ -68,6 +69,21 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph.from_edges(-1, [])
+
+    def test_cycle_witness_rejections(self):
+        g = cycle_graph(5)
+        CycleWitness((0, 1, 2, 3, 4)).validate(g)
+        for vertices, message in (
+            ((0, 1), "shorter than 3"),
+            ((0, 1, 2, 1), "repeats a vertex"),
+            ((0, 1, 2), r"pair \(2,0\) is not an edge"),
+        ):
+            with pytest.raises(CertificationError, match=message):
+                CycleWitness(vertices).validate(g)
 
     def test_edges_normalized(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0)])
@@ -322,6 +338,13 @@ class TestEvenCycleSearch:
     def test_c4_found(self):
         w = find_short_even_cycle(cycle_graph(4), 4)
         assert w is not None and w.length == 4
+
+    def test_rejects_bad_bounds(self):
+        g = cycle_graph(4)
+        with pytest.raises(ValueError, match="cycle bound must be >= 3"):
+            find_cycle_up_to(g, 2)
+        with pytest.raises(ValueError, match="even integer >= 4"):
+            find_short_even_cycle(g, 5)
 
     def test_c5_is_even_free(self):
         assert find_short_even_cycle(cycle_graph(5), 10) is None
@@ -602,6 +625,13 @@ class TestColoring:
         g = cycle_graph(4)
         assert VertexColoring((0, 1, 0, 1), 2).is_proper_on(g)
         assert not VertexColoring((0, 0, 1, 1), 2).is_proper_on(g)
+
+    def test_rejects_bad_colors(self):
+        with pytest.raises(ValueError, match="color count must be >= 1"):
+            VertexColoring((), 0)
+        for color in (-1, 2):
+            with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+                VertexColoring((0, color), 2)
 
 
 class TestEdgeListFormat:

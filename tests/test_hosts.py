@@ -81,6 +81,11 @@ class TestPolarityGraph:
         with pytest.raises(ValueError):
             polarity_graph(4)
 
+    @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
+    def test_rejects_prime_above_max_plane_order(self, build):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            build(103)
+
 
 class TestIncidenceGraph:
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -180,6 +185,10 @@ class TestGreedyHighGirth:
         host = greedy_high_girth(60, 5, 0)
         assert host.graph.m > 59
 
+    def test_rejects_order_above_cap(self):
+        with pytest.raises(ValueError, match="capped at 3000 vertices"):
+            greedy_high_girth(3001, 5, 0)
+
     def test_deterministic(self):
         a = greedy_high_girth(30, 6, 9)
         b = greedy_high_girth(30, 6, 9)
@@ -225,6 +234,8 @@ class TestPruneAndDense:
         k = 10
         sub = dense_subhost(base, k)
         assert sub.order <= 2 * k or sub.degraded
+        with pytest.raises(ValueError, match="target size must be >= 1"):
+            dense_subhost(base, 0)
 
     def test_bipartite_trim(self):
         host = incidence_graph_pg2(3)
@@ -232,6 +243,8 @@ class TestPruneAndDense:
         assert len(parts[0]) == 5 and len(parts[1]) == 13
         sa = set(parts[0])
         assert all((u in sa) != (v in sa) for u, v in trimmed.edges)
+        with pytest.raises(ValueError, match=r"k=14 exceeds \|A\|=13"):
+            bipartite_trim(host.graph, host.parts, 14)
 
     def test_bipartite_trim_rejects_parts_that_miss_a_vertex(self):
         host = incidence_graph_pg2(2)
@@ -289,3 +302,12 @@ class TestGenerators:
     def test_random_gnm_rejects_overfull(self):
         with pytest.raises(ValueError):
             random_gnm(4, 7, 0)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [(star, (-1,)), (complete, (-1,)), (complete_bipartite, (2, -1)),
+         (clique_apex, (0, 3)), (clique_apex, (3, 0))],
+    )
+    def test_generators_reject_negative_sizes(self, build, args):
+        with pytest.raises(ValueError):
+            build(*args)
