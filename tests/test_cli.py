@@ -146,7 +146,7 @@ class TestExtract:
     )
     def test_large_r_without_host_keeps_identity(self, capsys, tmp_path, mode, r):
         # no host of the needed girth fits the order the extractor picks
-        # (at r = 1499 case 2's target order, 4, is below girth 2r + 1),
+        # (at r = 1499 case 2's target order, 3, is below girth 2r + 1),
         # so only the identity, the forest and (edges) greedy compete
         p = tmp_path / "path.edges"
         p.write_text("0 1\n1 2\n")

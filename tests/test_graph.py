@@ -69,8 +69,6 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
-
-    def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="vertex count must be non-negative"):
             Graph.from_edges(-1, [])
 
