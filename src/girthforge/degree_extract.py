@@ -45,6 +45,7 @@ from .seeds import mix
 _SALT_WEIGHTS = 515
 
 HOST_ORDER_CAP = 50_000  # hard cap on host order
+DEFAULT_MAX_ROUNDS = 64  # resampling rounds per trial before it is degraded
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ class BadEvent:
     vertex: int
     color: Optional[int] = None
     witness: tuple[int, ...] = ()
-
-    def sort_key(self):
-        return (0 if self.tag == "A" else 1, self.vertex, self.color or 0)
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,8 @@ def find_bad_events(
     g: Graph, chi: VertexColoring, host: HostGraph, q: int, t: int
 ) -> list[BadEvent]:
     """All type-A violations plus one type-B event per over-represented
-    (vertex, color); empty means the coloring is accepted.
+    (vertex, color); empty means the coloring is accepted.  Type A comes
+    first, by vertex, then type B by (vertex, color).
 
     The type-A comparison 2*ell*d' <= q*d is exact integer arithmetic;
     isolated vertices are skipped (the event is vacuous for them).  A
@@ -138,8 +137,8 @@ def resample_until_clear(
 ) -> ResampleResult:
     """Resample the first bad event's dependency set until none remain.
 
-    The first event by :meth:`BadEvent.sort_key` (lowest type-A vertex,
-    else lowest (vertex, color) type-B event) is resampled: type A redraws
+    The first event (the lowest type-A vertex, else the lowest
+    (vertex, color) type-B event) is resampled: type A redraws
     the vertex and its whole neighborhood, type B only the witness set.
     As in Moser and Tardos's algorithm, a redraw changes only the events
     at the redrawn vertices and their neighbors.  Type A is read every
@@ -260,8 +259,12 @@ def edge_retention(
             j = lightest.get(group)
             if j is None or weights.key(i) < weights.key(j):
                 lightest[group] = i
-    kept = [i for i, (a, b) in enumerate(groups) if lightest[a] == i == lightest[b]]
-    return edge_subgraph(h_prime_graph, kept)
+    kept = {
+        h_prime_graph.edges[i]
+        for i, (a, b) in enumerate(groups)
+        if lightest[a] == i == lightest[b]
+    }
+    return edge_subgraph(h_prime_graph, kept.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def _degree_host(k_quantized: int, r: int) -> Optional[HostGraph]:
 
 
 def extract_spanning_high_girth(
-    g: Graph, r: int, seed: int, trials: int, max_rounds: int = 64
+    g: Graph, r: int, seed: int, trials: int, max_rounds: int = DEFAULT_MAX_ROUNDS
 ) -> tuple[Graph, ExtractionReport]:
     """Best certified girth >= 2r+2 spanning subgraph by minimum degree.
 

@@ -242,18 +242,16 @@ def _case2_base_host(target: int, r: int) -> HostGraph:
     return greedy_high_girth(n, 2 * r + 1, 0)
 
 
-def case2_extract(
-    g2: Graph, r: int, seed: int, edge_budget: Optional[int] = None
-) -> Graph:
+def case2_extract(g2: Graph, r: int, seed: int, edge_budget: int) -> Graph:
     """Random labeling of the low-degree side into a bipartized host.
 
-    Builds a host on about 2*sqrt(m) vertices, bipartizes it by the k=3
-    local search (keeping at least half its edges and making it free of
-    all cycles up to 2r+1), samples a uniform labeling, and returns the
-    doubly-color-unique subgraph.
+    Builds a host on about 2*sqrt(m) vertices, m = ``edge_budget`` being
+    the edge count of the graph whose low-degree side ``g2`` is, bipartizes
+    it by the k=3 local search (keeping at least half its edges and making
+    it free of all cycles up to 2r+1), samples a uniform labeling, and
+    returns the doubly-color-unique subgraph.
     """
-    m = edge_budget if edge_budget is not None else g2.m
-    m = max(m, 1)
+    m = max(edge_budget, 1)
     threshold_sq = 4 * m
     if any(d * d >= threshold_sq for d in g2.degrees()):
         raise ValueError("case 2 requires all degrees below 2*sqrt(m)")
@@ -305,12 +303,12 @@ def star_fallback(g: Graph) -> Graph:
 def matching_fallback(g: Graph) -> Graph:
     """Greedy maximal matching by edge index."""
     used = [False] * g.n
-    kept = []
-    for i, (u, v) in enumerate(g.edges):
+    kept = set()
+    for u, v in g.edges:
         if not used[u] and not used[v]:
             used[u] = used[v] = True
-            kept.append(i)
-    return edge_subgraph(g, kept)
+            kept.add((u, v))
+    return edge_subgraph(g, kept.__contains__)
 
 
 def greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int) -> Graph:
@@ -320,17 +318,16 @@ def greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int) -> Graph:
     kept (:func:`graph.closes_forbidden_cycle`).  Maximality makes this
     the strongest deterministic fallback on dense inputs.
     """
-    order = list(range(g.m))
+    order = list(g.edges)
     random.Random(seed).shuffle(order)
     adj: list[set] = [set() for _ in range(g.n)]
-    kept = []
-    for i in order:
-        u, v = g.edges[i]
+    kept = set()
+    for u, v in order:
         if not closes_forbidden_cycle(adj, u, v, fam):
             adj[u].add(v)
             adj[v].add(u)
-            kept.append(i)
-    return edge_subgraph(g, kept)
+            kept.add((u, v))
+    return edge_subgraph(g, kept.__contains__)
 
 
 # ---------------------------------------------------------------------------

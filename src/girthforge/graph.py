@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -259,23 +259,10 @@ def pair_from_index(n: int, index: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def edge_subgraph(
-    g: Graph, keep: Union[Callable[[tuple[int, int]], bool], Iterable[int]]
-) -> Graph:
-    """Spanning subgraph with the selected edges.
-
-    ``keep`` is either a predicate over edge pairs or an iterable of edge
-    indices into ``g.edges``; an unknown index is rejected.
-    """
-    if callable(keep):
-        kept = [e for e in g.edges if keep(e)]
-    else:
-        idx = sorted(set(keep))
-        for i in idx:
-            if not (0 <= i < g.m):
-                raise ValueError(f"unknown edge index {i}")
-        kept = [g.edges[i] for i in idx]
-    return Graph.from_edges(g.n, kept)
+def edge_subgraph(g: Graph, keep: Callable[[tuple[int, int]], bool]) -> Graph:
+    """Spanning subgraph with the edges that satisfy ``keep``, in
+    ``g.edges`` order."""
+    return Graph.from_edges(g.n, [e for e in g.edges if keep(e)])
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -341,9 +328,10 @@ def _two_coloring(g: Graph) -> Optional[tuple[set, int]]:
 def _bfs_detect(g: Graph, root: int, depth_cap: int, stop_at: int = 0):
     """Truncated BFS from ``root`` reporting the best non-tree detection.
 
-    Returns ``(value, x, y, parent, depth)`` where value is
+    Returns ``(value, x, y, parent)`` where value is
     ``depth[x] + depth[y] + 1`` minimized over non-tree edges (x, y) scanned
-    while expanding vertices of depth < depth_cap, or None if none found.
+    while expanding vertices of depth < depth_cap, and ``parent`` is the
+    BFS tree, or None if none found.
     A detection value bounds the length of a genuine simple cycle from above.
     The first detection of value <= ``stop_at`` is returned at once.
     """
@@ -368,12 +356,12 @@ def _bfs_detect(g: Graph, root: int, depth_cap: int, stop_at: int = 0):
             elif y != parent[x]:
                 value = dx + dy + 1
                 if value <= stop_at:
-                    return value, x, y, parent, depth
+                    return value, x, y, parent
                 if best is None or value < best[0]:
                     best = (value, x, y)
     if best is None:
         return None
-    return best[0], best[1], best[2], parent, depth
+    return best[0], best[1], best[2], parent
 
 
 def _witness_from_detection(x: int, y: int, parent: dict) -> CycleWitness:
@@ -432,7 +420,7 @@ def girth_with_witness(
         hit = _bfs_detect(g, root, cap, stop_at)
         if hit is None:
             continue
-        value, x, y, parent, _ = hit
+        value, x, y, parent = hit
         if value < best:
             witness = _witness_from_detection(x, y, parent)
             witness.validate(g)
@@ -466,7 +454,7 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
         hit = _bfs_detect(g, root, cap)
         if hit is None:
             continue
-        value, x, y, parent, _ = hit
+        value, x, y, parent = hit
         if value <= bound:
             witness = _witness_from_detection(x, y, parent)
             witness.validate(g)

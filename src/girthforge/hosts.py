@@ -36,9 +36,7 @@ MAX_PLANE_ORDER = 101  # largest prime q of a PG(2,q) host
 class HostGraph:
     """A graph plus its verified certificate.
 
-    ``parts`` carries a bipartition when the construction is bipartite;
-    ``degraded`` marks best-effort outputs whose requested guarantee could
-    not be met (the achieved values are still verified).
+    ``parts`` carries a bipartition when the construction is bipartite.
     """
 
     graph: Graph
@@ -47,7 +45,6 @@ class HostGraph:
     min_degree: int
     label: str
     parts: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    degraded: bool = False
 
     @property
     def order(self) -> int:
@@ -63,7 +60,7 @@ class HostGraph:
             f"certified_family: {fam}",
             f"certified_girth: {girth_json(self.certified_girth)}",
             f"min_degree: {self.min_degree}",
-            f"degraded: {str(self.degraded).lower()}",
+            "degraded: false",
         ]
         return "\n".join(lines) + "\n"
 
@@ -334,24 +331,20 @@ def _ball_layers(
 
 
 def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
-    """The parent host under a ``dense_subhost(k=...)`` label, with its
-    certificate.
+    """The parent host, graph and certificate unchanged, under a
+    ``dense_subhost(k=...)`` label.
 
-    Flagged degraded when its order exceeds 2k or its minimum degree is
-    below the threshold ceil(m / 4k).  Low-degree pruning is never needed
-    for the hosts :func:`degree_extract._degree_host` passes: at r = 2 the
-    PG(2,q) incidence graph has degree q + 1 = 12-102 against a threshold
-    of 4-29 for every kq from 128 to 16384, and order <= kq + 1 at 32768;
-    at r >= 3 the greedy hosts (at most 400 vertices, kq >= 128) have
-    threshold 1 and, being maximal, minimum degree >= 1.
+    Low-degree pruning is never needed for the hosts
+    :func:`degree_extract._degree_host` passes: at r = 2 the PG(2,q)
+    incidence graph has degree q + 1 = 12-102 against a threshold
+    ceil(m / 4k) of 4-29 for every kq from 128 to 16384, and order
+    <= kq + 1 at 32768; at r >= 3 the greedy hosts (at most 400 vertices,
+    kq >= 128) have threshold 1 and, being maximal, minimum degree >= 1.
     ``TestDegreeHost`` in the degree extractor's tests re-checks both.
     """
     if k < 1:
         raise ValueError("target size must be >= 1")
-    threshold = -(-g_prime.graph.m // (4 * k))  # ceil(m / 4k)
-    degraded = g_prime.order > 2 * k or g_prime.min_degree < threshold
-    label = f"dense_subhost(k={k}) of {g_prime.label}"
-    return replace(g_prime, label=label, degraded=degraded)
+    return replace(g_prime, label=f"dense_subhost(k={k}) of {g_prime.label}")
 
 
 def bipartite_trim(

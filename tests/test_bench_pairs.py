@@ -58,3 +58,27 @@ class TestJudge:
         bench_pairs.compare("w", _entry([1.0] * 10), _entry([1.3] * 10), metrics)
         line = capsys.readouterr().out.splitlines()[-1]
         assert "gain rule not met" in line and "REGRESSION (bound 25%)" in line
+
+
+def test_main_creates_a_missing_work_dir(tmp_path, monkeypatch):
+    def fake_export(commit, tree):
+        tree.mkdir()
+        return tree
+
+    def fake_bench(tree, workload, seed, seconds, trace):
+        return {
+            "metrics": {"wall_s": {"unit": "s", "value": 1.0}},
+            "attempted": 1,
+            "failed": 0,
+            "output_digest": "x",
+        }
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0123abc")
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    work = tmp_path / "not" / "yet"
+    argv = ["A", "B", "--workload", "edges-sparse", "--seed", "1", "--pairs", "1",
+            "--out", str(tmp_path), "--work", str(work)]  # fmt: skip
+    assert bench_pairs.main(argv) == 0
+    assert work.is_dir() and not any(work.iterdir())
+    assert (tmp_path / "BENCH_0123abc.json").exists()

@@ -275,6 +275,23 @@ class TestSweep:
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extract", "edges"], "the following arguments are required: --in"),
+        (["sweep", "--mode", "f", "--n", "8:20:4", "--family-input", "nope"],
+         "unknown sweep input family 'nope'"),
+        (["sweep", "--mode", "f", "--n", "1:2"], "range must be A:B:S, got '1:2'"),
+        (["sweep", "--mode", "f", "--n", "9:1:1"], "empty or descending range '9:1:1'"),
+    ],
+)
+def test_usage_error_exits_one(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestDeterminism:
     def test_repeat_byte_identical(self, capsys, k7_path):
         argv = ["extract", "edges", "--in", k7_path, "--seed", "9", "--trials", "4"]

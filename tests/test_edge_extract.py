@@ -225,17 +225,17 @@ class TestCase2:
     def test_rejects_high_degree(self):
         g = complete_bipartite(1, 9)
         with pytest.raises(ValueError):
-            case2_extract(g, 2, 0)
+            case2_extract(g, 2, 0, g.m)
 
     def test_output_certified(self):
         g = random_gnm(40, 60, 3)  # max degree stays below 2*sqrt(60)
         assert all(d * d < 4 * g.m for d in g.degrees())
-        out = case2_extract(g, 2, 11)
+        out = case2_extract(g, 2, 11, g.m)
         assert check_family_free(out, EVEN4).free
 
     def test_r3_output_certified(self):
         g = random_gnm(40, 60, 4)
-        out = case2_extract(g, 3, 11)
+        out = case2_extract(g, 3, 11, g.m)
         assert check_family_free(out, ForbiddenFamily("even", 6)).free
 
 

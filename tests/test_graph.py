@@ -589,13 +589,6 @@ class TestSubgraphs:
         sub = edge_subgraph(g, lambda e: e[0] == 0)
         assert sub.n == 4 and sub.m == 2
 
-    def test_edge_subgraph_indices(self):
-        g = cycle_graph(4)
-        sub = edge_subgraph(g, [0, 2])
-        assert sub.m == 2
-        with pytest.raises(ValueError):
-            edge_subgraph(g, [9])
-
     def test_induced(self):
         g = cycle_graph(5)
         sub, labels = induced_subgraph(g, [0, 1, 2])

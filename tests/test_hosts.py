@@ -4,6 +4,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -230,10 +231,11 @@ class TestPruneAndDense:
         assert check_family_free(sub.graph, ForbiddenFamily("even", 4)).free
 
     def test_dense_subhost_order_window(self):
+        # the order is not trimmed: the host keeps its graph and certificate
         base = incidence_graph_pg2(5)
-        k = 10
-        sub = dense_subhost(base, k)
-        assert sub.order <= 2 * k or sub.degraded
+        sub = dense_subhost(base, 10)
+        assert sub.label == f"dense_subhost(k=10) of {base.label}"
+        assert sub == replace(base, label=sub.label)
         with pytest.raises(ValueError, match="target size must be >= 1"):
             dense_subhost(base, 0)
 

@@ -4,8 +4,8 @@
         --seed S --pairs N [--out DIR] [--work DIR]
 
 Each commit is exported with ``git archive`` into a fresh directory of its
-own (under ``--work``, removed at the end), and the benchmark there runs
-unchanged:
+own (under ``--work``, which is created if missing; the exports are removed
+at the end), and the benchmark there runs unchanged:
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``,
 where T is ``run_seconds`` from ``BENCHMARK.json``.  Pairs alternate
 which commit runs first; one run goes at a time.  After the pairs, each
@@ -206,6 +206,8 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": seconds,
     }
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work))
     try:
         trees = [export(s, work / side) for s, side in zip(shas, ("parent", "change"))]
