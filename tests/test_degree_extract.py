@@ -444,6 +444,31 @@ class TestExtractor:
             "2036e3ef13575fbe5ba599b5cd08390a015fa9881f8dc6c007b8d17ceada8305"
         )
 
+    @pytest.mark.parametrize(
+        "max_rounds, all_capped", [(1, True), (degree_mod.DEFAULT_MAX_ROUNDS, False)], ids=["capped", "clears"]
+    )
+    def test_degraded_trials_counts_degraded_results(
+        self, monkeypatch, max_rounds, all_capped
+    ):
+        # the PG(2,3) host on K20 of test_resample_winner_digests: every
+        # trial caps at one round, and a trial clears under the default cap
+        monkeypatch.setattr(
+            degree_mod, "_degree_host", lambda kq, r: incidence_graph_pg2(3)
+        )
+        results = []
+
+        def recording(*args):
+            results.append(resample_until_clear(*args))
+            return results[-1]
+
+        monkeypatch.setattr(degree_mod, "resample_until_clear", recording)
+        trials = 4
+        _, report = extract_spanning_high_girth(complete(20), 2, 4, trials, max_rounds)
+        assert len(results) == trials
+        degraded = sum(res.degraded for res in results)
+        assert report.extras["degraded_trials"] == degraded
+        assert (degraded == trials) == all_capped
+
     def test_rejects_bad_params(self):
         g = complete(5)
         with pytest.raises(ValueError):

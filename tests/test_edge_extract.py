@@ -380,6 +380,38 @@ class TestExtractor:
         assert case2.call_count == (2 if runs else 0)
         assert (report.extras["trial_mean_edges"] is not None) == runs
 
+    @pytest.mark.parametrize(
+        "g, r, case",
+        [
+            (complete_bipartite(5, 20), 2, "case1_extract"),
+            (random_gnm(40, 90, 5), 2, "case2_extract"),
+            (random_gnm(60, 200, 5), 3, "case2_extract"),
+        ],
+        ids=["case1", "case2", "case2-r3"],
+    )
+    def test_trial_mean_edges_is_the_mean_case_output(self, g, r, case):
+        outputs = {"case1_extract": [], "case2_extract": []}
+
+        def recording(name):
+            fn = getattr(edge_mod, name)
+
+            def wrapped(*args):
+                outputs[name].append(fn(*args))
+                return outputs[name][-1]
+
+            return wrapped
+
+        trials = 3
+        with mock.patch.object(
+            edge_mod, "case1_extract", recording("case1_extract")
+        ), mock.patch.object(edge_mod, "case2_extract", recording("case2_extract")):
+            _, report = extract_even_cycle_free(g, r, trials, 17)
+        assert [len(v) for v in outputs.values()] == [
+            trials if name == case else 0 for name in outputs
+        ]
+        edges = [out.m for out in outputs[case]]
+        assert report.extras["trial_mean_edges"] == sum(edges) / trials
+
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_small_star_is_identity(self, r):
         # stars too small for the girth-(2r+1) cover host keep the star host

@@ -78,9 +78,10 @@ class TestPolarityGraph:
         assert check_family_free(host.graph, ForbiddenFamily("even", 4)).free
         assert host.certified_girth == 3 == brute_girth(host.graph, 4)
 
-    def test_rejects_nonprime(self):
-        with pytest.raises(ValueError):
-            polarity_graph(4)
+    @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
+    def test_rejects_nonprime(self, build):
+        with pytest.raises(ValueError, match="q must be prime, got 4"):
+            build(4)
 
     @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
     def test_rejects_prime_above_max_plane_order(self, build):
