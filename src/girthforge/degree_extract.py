@@ -309,7 +309,9 @@ def extract_spanning_high_girth(
     retention; the identity (when already certified) and a spanning forest
     always compete, so a certified candidate exists for every input.  With
     no edges, or no host of girth 2r+2 at the chosen order, no trial runs
-    and the report has no host fields.
+    and the report has no host fields.  Every candidate is recorded once,
+    with its method, degraded flag and rounds, and ``degraded_trials``
+    counts the degraded ones in that list.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -323,21 +325,18 @@ def extract_spanning_high_girth(
     # (graph, certified girth, fields)
     candidates: list[tuple[Graph, float, dict]] = []
 
-    def add(graph: Graph, fields: dict) -> None:
-        value = certify(graph, fam, f"{fields['method']} candidate")
+    def add(graph, method, degraded=False, rounds=0, value=None) -> None:
+        if value is None:
+            value = certify(graph, fam, f"{method} candidate")
+        fields = {"method": method, "degraded": degraded, "rounds_used": rounds}
         candidates.append((graph, value, fields))
 
     value, witness = family_girth(g, fam)
     if witness is None:
-        fields = {"method": "identity", "degraded": False, "rounds_used": 0}
-        candidates.append((g, value, fields))
-    add(
-        spanning_forest(g),
-        {"method": "forest", "degraded": False, "rounds_used": 0},
-    )
+        add(g, "identity", value=value)
+    add(spanning_forest(g), "forest")
 
     host_meta: dict = {}
-    degraded_trials = 0
     host = None
     if g.m > 0:
         k_raw = math.ceil(2 * math.e**4 * delta_max)
@@ -369,20 +368,12 @@ def extract_spanning_high_girth(
         for trial in range(trials):
             trial_seed = mix(seed, trial)
             res = resample_until_clear(g, host, q, t, trial_seed, max_rounds)
-            if res.degraded:
-                degraded_trials += 1
             hp = h_prime(g, res.coloring, host)
             weights = EdgeWeights.random(hp.m, mix(trial_seed, _SALT_WEIGHTS))
             thin = edge_retention(hp, res.coloring, weights)
-            add(
-                thin,
-                {
-                    "method": "resample",
-                    "degraded": res.degraded,
-                    "rounds_used": res.rounds,
-                },
-            )
+            add(thin, "resample", res.degraded, res.rounds)
 
+    degraded_trials = sum(fields["degraded"] for _, _, fields in candidates)
     extras = {"degraded_trials": degraded_trials, **host_meta}
     return pick(
         g, fam, candidates, lambda out: (out.min_degree(), out.m),

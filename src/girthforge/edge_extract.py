@@ -384,17 +384,18 @@ def extract_even_cycle_free(
             g2 = edge_subgraph(work, lambda e: e[0] in in_v2 and e[1] in in_v2)
             method, extract = "case2", lambda s: case2_extract(g2, r, s, work.m)
 
-    case_edges = []
     for t in range(trials):
         trial_seed = mix(seed, t)
         if extract is not None:
             out = extract(trial_seed)
             value = certify(out, fam, f"{method} output")
             candidates.append((out, value, {"method": method}))
-            case_edges.append(out.m)
         gout = greedy_family_free(work, fam, mix(trial_seed, _SALT_GREEDY))
         candidates.append((gout, None, {"method": "greedy"}))
 
+    case_edges = [
+        out.m for out, _, f in candidates if f["method"] in ("case1", "case2")
+    ]
     extras = {
         "odd_free": odd_free,
         "trial_mean_edges": sum(case_edges) / len(case_edges) if case_edges else None,

@@ -493,8 +493,7 @@ def _find_c4(g: Graph) -> Optional[CycleWitness]:
     return None
 
 
-_PAIR_WALKS = 1 << 20  # neighbor pairs listed per block
-_PAIR_SLOTS = 1 << 22  # (row, column) slots per block, rows x n
+_PAIR_BLOCK = 1 << 20  # walks listed, and (row, column) slots, per block
 
 
 def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
@@ -515,8 +514,11 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     (a, b) exceeds a, and the pair is still listed twice from row a.  On a
     bipartite point-line graph this drops every walk that starts at a line.
 
-    The work is O(n + sum C(d,2)); memory is O(n + m) plus one block of
-    ``_PAIR_WALKS`` walks and ``_PAIR_SLOTS`` slots, on any input.
+    A block ends before it lists more than ``_PAIR_BLOCK`` walks or spans
+    more than ``_PAIR_BLOCK`` (row, column) slots, rows x n, but always
+    holds at least one row.  The answer does not depend on where blocks
+    end, so one budget bounds both.  The work is O(n + sum C(d,2)); memory
+    is O(n + m) plus one block, on any input.
     """
     import numpy as np
 
@@ -538,13 +540,13 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     walks = np.zeros(indices.size + 1, dtype=np.intp)
     np.cumsum(lens, out=walks[1:])
     row_walks = walks[indptr]  # walks from rows < a
-    rows_cap = max(1, _PAIR_SLOTS // max(n, 1))
+    rows_cap = max(1, _PAIR_BLOCK // max(n, 1))
     # slot[key] holds the index of a walk with that key; only slots written
     # in the current block are read, so the array is never cleared
     slot = np.empty(min(rows_cap, n) * n, dtype=np.intp)
     a0 = 0
     while a0 < n:
-        a1 = int(np.searchsorted(row_walks, row_walks[a0] + _PAIR_WALKS, "right")) - 1
+        a1 = int(np.searchsorted(row_walks, row_walks[a0] + _PAIR_BLOCK, "right")) - 1
         a1 = min(max(a1, a0 + 1), a0 + rows_cap, n)
         lo, hi = indptr[a0], indptr[a1]
         total = int(walks[hi] - walks[lo])

@@ -140,8 +140,13 @@ def _pg2_orthogonal_pairs(q: int):
     - x = (1, 0, 0): every (0, 1, a), then (0, 0, 1).
 
     The work and memory are O(n q) for the n = q^2 + q + 1 points, not the
-    n^2 products of the definition.
+    n^2 products of the definition.  This is the one check of the plane
+    order for both PG(2,q) hosts: q must be a prime in 2..MAX_PLANE_ORDER.
     """
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if not (2 <= q <= MAX_PLANE_ORDER):
+        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     import numpy as np
 
     x0, x1, x2 = np.array(_pg2_points(q), dtype=np.int64).T
@@ -167,10 +172,6 @@ def polarity_graph(q: int) -> HostGraph:
     Vertices are the q^2+q+1 projective points; x ~ y iff x . y == 0 (mod q)
     and x != y.  Degrees are q+1, except q at the q+1 absolute points.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if not (2 <= q <= MAX_PLANE_ORDER):
-        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
     upper = rows < cols
@@ -198,10 +199,6 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     call that every host makes: the graph two-colors, has no C4, and the
     first 6-cycle found fixes the girth at 6.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if not (2 <= q <= MAX_PLANE_ORDER):
-        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
     graph = Graph.from_edges(2 * n, zip(rows.tolist(), (cols + n).tolist()))

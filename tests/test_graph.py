@@ -282,14 +282,11 @@ class TestSmallestSharedPair:
     @settings(max_examples=200, deadline=None)
     @given(
         g=small_graphs(max_n=14),
-        walks=st.sampled_from([1, 2, 3, 7, 1 << 20]),
-        slots=st.sampled_from([1, 5, 30, 1 << 22]),
+        block=st.sampled_from([1, 2, 3, 5, 7, 30, 1 << 20]),
     )
-    def test_matches_bruteforce(self, g, walks, slots):
+    def test_matches_bruteforce(self, g, block):
         # small block sizes force many blocks, including one-row blocks
-        with mock.patch.object(graph_mod, "_PAIR_WALKS", walks), mock.patch.object(
-            graph_mod, "_PAIR_SLOTS", slots
-        ):
+        with mock.patch.object(graph_mod, "_PAIR_BLOCK", block):
             got = graph_mod._smallest_shared_pair(g)
         assert got == brute_smallest_shared_pair(g)
 
@@ -311,9 +308,7 @@ class TestSmallestSharedPair:
         g = Graph.from_edges(n, edges)
         expected = brute_smallest_shared_pair(g)
         assert expected is not None
-        with mock.patch.object(graph_mod, "_PAIR_WALKS", 1), mock.patch.object(
-            graph_mod, "_PAIR_SLOTS", 1
-        ):
+        with mock.patch.object(graph_mod, "_PAIR_BLOCK", 1):
             assert graph_mod._smallest_shared_pair(g) == expected
 
     def test_c4_free_host_and_complete_bipartite(self):
