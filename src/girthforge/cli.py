@@ -23,7 +23,7 @@ from .graph import (
     CertificationError,
     ForbiddenFamily,
     check_family_free,
-    format_edge_list,
+    edge_list_lines,
     girth,
     girth_json,
     parse_edge_list,
@@ -69,7 +69,7 @@ def _emit(doc: dict, out_path) -> None:
 
 def _write_edges(graph, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(format_edge_list(graph))
+        fh.writelines(edge_list_lines(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,9 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     """Bipartite even-cycle-free host with parts sized exactly (k, b).
 
     Best by edge count of: the star host (one part-A center joined to all
-    of B), and one bipartite base trimmed to the top k of its first side
-    and the top b of its second.  The base is for r = 2 the projective
+    of B), and one bipartite base trimmed by one :func:`bipartite_trim`
+    call to the top k of its first side by degree and the top b of its
+    second by degree into those k.  The base is for r = 2 the projective
     incidence graph (skipped above plane order MAX_PLANE_ORDER), for
     r >= 3 the bipartite double cover of a greedy girth-(2r + 1) graph
     (skipped when the needed side is below 2r + 1 or above
@@ -173,10 +174,8 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
         parts = (tuple(range(side)), tuple(range(side, 2 * side)))
         name = f"cover-trim(n={side})"
     if base is not None:
-        trimmed, parts = bipartite_trim(base, parts, k)
-        # trim the second side too: swap parts and keep the top b
-        trimmed, (pb, pa) = bipartite_trim(trimmed, (parts[1], parts[0]), b)
-        candidates.append((trimmed, (pa, pb), name))
+        trimmed, parts = bipartite_trim(base, parts, k, b)
+        candidates.append((trimmed, parts, name))
 
     graph, parts, name = max(candidates, key=lambda c: (c[0].m, c[2] == "star-host"))
     label = f"case1:{name}(k={k},b={b},r={r})"

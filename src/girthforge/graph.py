@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -68,7 +68,7 @@ class Graph:
         tuples already ordered u < v, and validated in bulk by one
         ``all()`` and one ``set()``.  Only when that check fails (or a pair
         is not a hashable 2-tuple) are they scanned one by one, which
-        raises the first error in input order.
+        raises the first error in input order.  :func:`_assemble` builds it.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -78,18 +78,7 @@ class Graph:
             valid = all(0 <= u < v < n for u, v in norm) and len(set(norm)) == len(norm)
         except (TypeError, ValueError):
             valid = False
-        adj: list[list[int]] = [[] for _ in range(n)]
-        if valid:
-            for u, v in norm:
-                adj[u].append(v)
-                adj[v].append(u)
-        else:
-            norm = _scan_edges(n, edges, adj)
-        return Graph(
-            n=n,
-            edges=tuple(norm),
-            adjacency=tuple(tuple(sorted(a)) for a in adj),
-        )
+        return _assemble(n, norm if valid else _scan_edges(n, edges))
 
     @property
     def m(self) -> int:
@@ -115,12 +104,19 @@ class Graph:
         return v in self.adjacency_sets[u]
 
 
-def _scan_edges(
-    n: int, edges: Iterable[tuple[int, int]], adj: list[list[int]]
-) -> list[tuple[int, int]]:
-    """Normalise and check the edges one at a time, in input order, filling
-    ``adj``; raises at the first self-loop, out-of-range endpoint or
-    parallel edge."""
+def _assemble(n: int, pairs: list[tuple[int, int]]) -> Graph:
+    """The graph on ``0..n-1`` with the checked ``pairs`` (distinct, each
+    ``0 <= u < v < n``) as its edges in order: the one adjacency fill."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n=n, edges=tuple(pairs), adjacency=tuple(tuple(sorted(a)) for a in adj))
+
+
+def _scan_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Normalise and check the edges one at a time, in input order; raises
+    at the first self-loop, out-of-range endpoint or parallel edge."""
     seen: set[tuple[int, int]] = set()
     norm: list[tuple[int, int]] = []
     for u, v in edges:
@@ -133,8 +129,6 @@ def _scan_edges(
             raise ValueError(f"parallel edge ({e[0]},{e[1]})")
         seen.add(e)
         norm.append(e)
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
     return norm
 
 
@@ -265,17 +259,15 @@ def edge_subgraph(g: Graph, keep: Callable[[tuple[int, int]], bool]) -> Graph:
     return Graph.from_edges(g.n, [e for e in g.edges if keep(e)])
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``vertices`` (relabeled 0..k-1).
-
-    Returns the subgraph and the tuple mapping new labels to old ones.
-    """
-    keep = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
-    ]
-    return Graph.from_edges(len(keep), edges), tuple(keep)
+def check_parts(g: Graph, parts: tuple[Sequence[int], Sequence[int]]) -> None:
+    """Raise ValueError unless the two parts hold each vertex ``0..n-1``
+    exactly once between them and every edge has one end in each."""
+    part_a, part_b = parts
+    if sorted(itertools.chain(part_a, part_b)) != list(range(g.n)):
+        raise ValueError("parts do not partition the vertex set")
+    set_a = set(part_a)
+    if any((u in set_a) == (v in set_a) for u, v in g.edges):
+        raise ValueError("graph is not bipartite with the given parts")
 
 
 def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -804,7 +796,8 @@ def parse_edge_list(text: str) -> Graph:
     :data:`MAX_VERTEX_ID`; '#' starts a comment line; blank lines ignored;
     loops, duplicates and ids beyond the cap rejected with the offending
     line number.  Ids are kept as given: unused ids below the largest one
-    are isolated vertices.
+    are isolated vertices.  Checked here once, the pairs go straight to
+    :func:`_assemble`, not through :meth:`Graph.from_edges`.
     """
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -834,10 +827,15 @@ def parse_edge_list(text: str) -> Graph:
         seen.add(key)
         edges.append(key)
         max_v = max(max_v, u, v)
-    return Graph.from_edges(max_v + 1, edges)
+    return _assemble(max_v + 1, edges)
+
+
+def edge_list_lines(g: Graph) -> Iterator[str]:
+    """The edge-list text of ``g`` line by line, for writing it unjoined."""
+    yield f"# girthforge edge list: n={g.n} m={g.m}\n"
+    for u, v in g.edges:
+        yield f"{u} {v}\n"
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"# girthforge edge list: n={g.n} m={g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return "".join(edge_list_lines(g))

@@ -21,9 +21,9 @@ from .graph import (
     ForbiddenFamily,
     Graph,
     certify,
+    check_parts,
     girth,
     girth_json,
-    induced_subgraph,
     pair_from_index,
 )
 
@@ -141,12 +141,13 @@ def _pg2_orthogonal_pairs(q: int):
 
     The work and memory are O(n q) for the n = q^2 + q + 1 points, not the
     n^2 products of the definition.  This is the one check of the plane
-    order for both PG(2,q) hosts: q must be a prime in 2..MAX_PLANE_ORDER.
+    order for both PG(2,q) hosts: q must be a prime in 2..MAX_PLANE_ORDER,
+    the bound checked first so that :func:`is_prime` never runs on a huge q.
     """
+    if q > MAX_PLANE_ORDER:
+        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if not (2 <= q <= MAX_PLANE_ORDER):
-        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
     import numpy as np
 
     x0, x1, x2 = np.array(_pg2_points(q), dtype=np.int64).T
@@ -347,26 +348,28 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
 def bipartite_trim(
     g: Graph,
     parts: tuple[tuple[int, ...], tuple[int, ...]],
-    k: int,
+    ka: int,
+    kb: int,
 ) -> tuple[Graph, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Induced subgraph on the top-k part-A vertices (by degree, ties by
-    lower index) plus all of part B; relabeled compactly."""
+    """Induced subgraph on the top ``ka`` part-A vertices by degree, then
+    the top ``kb`` part-B vertices by their degree into the kept A ones.
+
+    Ties go to the lower index.  The kept vertices are relabeled in index
+    order; returns the subgraph and its two parts.  Raises ValueError when
+    a size exceeds its part or ``parts`` fail :func:`graph.check_parts`.
+    """
     part_a, part_b = parts
-    if k > len(part_a):
-        raise ValueError(f"k={k} exceeds |A|={len(part_a)}")
-    set_a = set(part_a)
-    if len(set_a | set(part_b)) != g.n or len(set_a) + len(part_b) != g.n:
-        raise ValueError("parts do not partition the vertex set")
-    for u, v in g.edges:
-        if (u in set_a) == (v in set_a):
-            raise ValueError("graph is not bipartite with the given parts")
-    ranked = sorted(part_a, key=lambda v: (-g.degree(v), v))[:k]
-    keep = sorted(ranked) + sorted(part_b)
-    sub, mapping = induced_subgraph(g, keep)
-    pos = {old: new for new, old in enumerate(mapping)}
-    new_a = tuple(sorted(pos[v] for v in ranked))
-    new_b = tuple(sorted(pos[v] for v in part_b))
-    return sub, (new_a, new_b)
+    if ka > len(part_a) or kb > len(part_b):
+        raise ValueError(f"sizes {(ka, kb)} exceed the parts {(len(part_a), len(part_b))}")
+    check_parts(g, parts)
+    keep_a = sorted(sorted(part_a, key=lambda v: (-g.degree(v), v))[:ka])
+    set_a = set(keep_a)
+    into_a = {v: len(set_a.intersection(g.adjacency[v])) for v in part_b}
+    keep_b = sorted(sorted(part_b, key=lambda v: (-into_a[v], v))[:kb])
+    pos = {v: i for i, v in enumerate(sorted(keep_a + keep_b))}
+    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    sub = Graph.from_edges(len(pos), edges)
+    return sub, (tuple(pos[v] for v in keep_a), tuple(pos[v] for v in keep_b))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .graph import (
     ForbiddenFamily,
     Graph,
     check_family_free,
+    check_parts,
     closes_forbidden_cycle,
 )
 
@@ -98,17 +99,12 @@ def cherry_check(
 ) -> CherryVerdict:
     """Double-count cherries at part-A vertices against C(|B|, 2).
 
-    A violation witness is a B-pair with two common A-neighbors, i.e. a C4.
-    When no B-pair repeats, the count inequality follows and the verdict
-    holds.
+    ``parts`` must pass :func:`graph.check_parts`.  A violation witness is
+    a B-pair with two common A-neighbors, i.e. a C4.  When no B-pair
+    repeats, the count inequality follows and the verdict holds.
     """
+    check_parts(h, parts)
     part_a, part_b = parts
-    set_a, set_b = set(part_a), set(part_b)
-    if set_a & set_b or len(set_a) + len(set_b) != h.n:
-        raise ValueError("parts do not partition the vertex set")
-    for u, v in h.edges:
-        if (u in set_a) == (v in set_a):
-            raise ValueError("graph is not bipartite with the given parts")
     cherries = sum(
         h.degree(a) * (h.degree(a) - 1) // 2 for a in part_a
     )

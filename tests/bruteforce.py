@@ -261,6 +261,35 @@ def reference_from_edges(n: int, edges) -> Graph:
     return Graph(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adj))
 
 
+def brute_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced on ``vertices``, relabeled 0..k-1 in index order
+    with ``g.edges`` order kept, and the tuple of old labels."""
+    labels = sorted(set(vertices))
+    edges = [
+        (labels.index(u), labels.index(v))
+        for u, v in g.edges
+        if u in labels and v in labels
+    ]
+    return Graph.from_edges(len(labels), edges), tuple(labels)
+
+
+def reference_bipartite_trim(g: Graph, parts, ka: int, kb: int):
+    """The two-sided trim as two one-sided passes: keep the top ``ka`` of
+    part A by degree (ties to the lower index) with all of part B, relabel,
+    then do the same to part B with ``kb`` and the parts swapped."""
+
+    def one_side(g, first, second, k):
+        ranked = sorted(first, key=lambda v: (-g.degree(v), v))[:k]
+        sub, labels = brute_induced_subgraph(g, list(ranked) + list(second))
+        new = tuple(labels.index(v) for v in sorted(ranked))
+        return sub, new, tuple(labels.index(v) for v in sorted(second))
+
+    part_a, part_b = parts
+    sub, new_a, new_b = one_side(g, part_a, part_b, ka)
+    sub, new_b, new_a = one_side(sub, new_b, new_a, kb)
+    return sub, (new_a, new_b)
+
+
 def reference_greedy_high_girth(n: int, min_girth: int, seed: int):
     """The greedy high-girth pass with one :func:`closes_forbidden_cycle`
     search per pair: a seeded permutation of the pairs, each added iff it

@@ -66,6 +66,7 @@ def test_main_creates_a_missing_work_dir(tmp_path, monkeypatch):
         return tree
 
     def fake_bench(tree, workload, seed, seconds, trace):
+        assert out.is_dir()  # made before the first run, not when writing
         return {
             "metrics": {"wall_s": {"unit": "s", "value": 1.0}},
             "attempted": 1,
@@ -76,9 +77,9 @@ def test_main_creates_a_missing_work_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "0123abc")
     monkeypatch.setattr(bench_pairs, "export", fake_export)
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
-    work = tmp_path / "not" / "yet"
+    work, out = tmp_path / "not" / "yet", tmp_path / "out" / "here"
     argv = ["A", "B", "--workload", "edges-sparse", "--seed", "1", "--pairs", "1",
-            "--out", str(tmp_path), "--work", str(work)]  # fmt: skip
+            "--out", str(out), "--work", str(work)]  # fmt: skip
     assert bench_pairs.main(argv) == 0
     assert work.is_dir() and not any(work.iterdir())
-    assert (tmp_path / "BENCH_0123abc.json").exists()
+    assert (out / "BENCH_0123abc.json").exists()

@@ -19,7 +19,9 @@ from girthforge.graph import (
     bipartition,
     certify,
     check_family_free,
+    check_parts,
     closes_forbidden_cycle,
+    edge_list_lines,
     edge_subgraph,
     family_girth,
     find_cycle_up_to,
@@ -28,7 +30,6 @@ from girthforge.graph import (
     girth,
     girth_json,
     girth_with_witness,
-    induced_subgraph,
     pair_from_index,
     parse_edge_list,
 )
@@ -584,11 +585,17 @@ class TestSubgraphs:
         sub = edge_subgraph(g, lambda e: e[0] == 0)
         assert sub.n == 4 and sub.m == 2
 
-    def test_induced(self):
-        g = cycle_graph(5)
-        sub, labels = induced_subgraph(g, [0, 1, 2])
-        assert sub.n == 3 and sub.m == 2
-        assert labels == (0, 1, 2)
+    def test_check_parts(self):
+        k22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        check_parts(k22, ((0, 1), (2, 3)))
+        check_parts(k22, ((3, 2), (1, 0)))
+        # a vertex the graph lacks, one left out, one twice in a part, one in both
+        bad = [((0, 1), (2, 5)), ((0, 1), (2,)), ((0, 1), (2, 3, 3)), ((0, 1, 2), (2, 3))]
+        for parts in bad:
+            with pytest.raises(ValueError, match="parts do not partition the vertex set"):
+                check_parts(k22, parts)
+        with pytest.raises(ValueError, match="graph is not bipartite with the given parts"):
+            check_parts(k22, ((0, 2), (1, 3)))
 
     def test_bipartition(self):
         assert bipartition(cycle_graph(5)) is None
@@ -623,7 +630,10 @@ class TestColoring:
 class TestEdgeListFormat:
     def test_roundtrip(self):
         g = petersen()
-        assert parse_edge_list(format_edge_list(g)).edges == g.edges
+        assert parse_edge_list(format_edge_list(g)) == g
+        pairs = [(3, 1), (0, 4), (2, 3), (1, 0)]
+        text = "# c\n\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        assert parse_edge_list(text) == reference_from_edges(5, pairs)
 
     def test_comments_and_blanks(self):
         g = parse_edge_list("# header\n\n0 1\n 1 2 \n")
@@ -651,7 +661,7 @@ class TestEdgeListFormat:
         # 340 MB), so only the request the parser makes is checked
         built = []
         monkeypatch.setattr(
-            Graph, "from_edges", staticmethod(lambda n, edges: built.append((n, edges)))
+            graph_mod, "_assemble", lambda n, pairs: built.append((n, pairs))
         )
         parse_edge_list(f"# ids kept as given\n{MAX_VERTEX_ID} 0\n")
         assert built == [(MAX_VERTEX_ID + 1, [(0, MAX_VERTEX_ID)])]
@@ -660,3 +670,12 @@ class TestEdgeListFormat:
         g = parse_edge_list("2 5\n")
         assert g.n == 6 and g.edges == ((2, 5),)
         assert format_edge_list(g).splitlines()[1:] == ["2 5"]
+
+    def test_lines_are_the_text(self):
+        g = petersen()
+        lines = list(edge_list_lines(g))
+        assert lines[0] == "# girthforge edge list: n=10 m=15\n"
+        assert lines[1:] == [f"{u} {v}\n" for u, v in g.edges]
+        assert "".join(lines) == format_edge_list(g)
+        empty = Graph.from_edges(2, [])
+        assert format_edge_list(empty) == "# girthforge edge list: n=2 m=0\n"

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import girthforge
 from girthforge import hosts as hosts_mod
@@ -39,8 +42,10 @@ from bruteforce import (
     brute_girth,
     brute_orthogonal_pairs,
     projective_degree_counts,
+    reference_bipartite_trim,
     reference_greedy_high_girth,
 )
+from conftest import bipartite_graphs
 
 
 class TestPrimes:
@@ -87,6 +92,16 @@ class TestPolarityGraph:
     def test_rejects_prime_above_max_plane_order(self, build):
         with pytest.raises(ValueError, match="outside the supported range"):
             build(103)
+
+    @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
+    def test_range_is_checked_before_primality(self, build, monkeypatch):
+        # trial division on 10**18 + 3 (a prime) would take about 10**9 steps
+        def no_trial_division(q):
+            raise AssertionError(f"is_prime({q}) called")
+
+        monkeypatch.setattr(hosts_mod, "is_prime", no_trial_division)
+        with pytest.raises(ValueError, match=r"outside the supported range 2\.\.101"):
+            build(10**18 + 3)
 
 
 class TestIncidenceGraph:
@@ -242,24 +257,58 @@ class TestPruneAndDense:
 
     def test_bipartite_trim(self):
         host = incidence_graph_pg2(3)
-        trimmed, parts = bipartite_trim(host.graph, host.parts, 5)
-        assert len(parts[0]) == 5 and len(parts[1]) == 13
+        trimmed, parts = bipartite_trim(host.graph, host.parts, 5, 7)
+        assert len(parts[0]) == 5 and len(parts[1]) == 7
+        assert trimmed.n == 12
         sa = set(parts[0])
         assert all((u in sa) != (v in sa) for u, v in trimmed.edges)
-        with pytest.raises(ValueError, match=r"k=14 exceeds \|A\|=13"):
-            bipartite_trim(host.graph, host.parts, 14)
+        for sizes in [(14, 1), (1, 14)]:
+            message = re.escape(f"sizes {sizes} exceed the parts (13, 13)")
+            with pytest.raises(ValueError, match=message):
+                bipartite_trim(host.graph, host.parts, *sizes)
 
     def test_bipartite_trim_rejects_parts_that_miss_a_vertex(self):
         host = incidence_graph_pg2(2)
         a, b = host.parts
         with pytest.raises(ValueError, match="parts do not partition the vertex set"):
-            bipartite_trim(host.graph, (a, b[:-1]), 1)
+            bipartite_trim(host.graph, (a, b[:-1]), 1, 1)
+        # vertex 5 does not exist and vertex 3 is in neither part
+        with pytest.raises(ValueError, match="parts do not partition the vertex set"):
+            bipartite_trim(complete_bipartite(2, 2), ((0, 1), (2, 5)), 2, 2)
 
     def test_bipartite_trim_rejects_edge_inside_a_part(self):
         host = incidence_graph_pg2(2)
         graph = Graph.from_edges(host.order, list(host.graph.edges) + [(0, 1)])
         with pytest.raises(ValueError, match="not bipartite with the given parts"):
-            bipartite_trim(graph, host.parts, 1)
+            bipartite_trim(graph, host.parts, 1, 1)
+
+    @given(bipartite_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bipartite_trim_matches_two_one_sided_trims(self, g, data):
+        parts = bipartition(g)
+        ka = data.draw(st.integers(min_value=0, max_value=len(parts[0])))
+        kb = data.draw(st.integers(min_value=0, max_value=len(parts[1])))
+        got = bipartite_trim(g, parts, ka, kb)
+        assert got == reference_bipartite_trim(g, parts, ka, kb)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_bipartite_trim_matches_on_plane_hosts(self, q):
+        host = incidence_graph_pg2(q)
+        n = q * q + q + 1
+        for ka, kb in [(1, n), (n, 1), (n // 2, n - 2), (n - 1, n // 3), (n, n)]:
+            got = bipartite_trim(host.graph, host.parts, ka, kb)
+            assert got == reference_bipartite_trim(host.graph, host.parts, ka, kb)
+
+    @pytest.mark.parametrize("side, girth_bound", [(9, 7), (14, 7), (20, 9)])
+    def test_bipartite_trim_matches_on_double_covers(self, side, girth_bound):
+        # the r >= 3 case-1 base: the bipartite double cover of a greedy host
+        edges = greedy_high_girth(side, girth_bound, 0).graph.edges
+        cover = [(u, side + v) for u, v in edges] + [(v, side + u) for u, v in edges]
+        base = Graph.from_edges(2 * side, cover)
+        parts = (tuple(range(side)), tuple(range(side, 2 * side)))
+        for ka, kb in [(side, side), (3, side - 2), (side - 1, 4), (side // 2, side // 2)]:
+            got = bipartite_trim(base, parts, ka, kb)
+            assert got == reference_bipartite_trim(base, parts, ka, kb)
 
 
 class TestCaches:

@@ -77,3 +77,6 @@ class TestCherryCheck:
             cherry_check(g, ((0, 2), (1, 3)))
         with pytest.raises(ValueError):
             cherry_check(g, ((0,), (2, 3)))
+        # vertex 5 does not exist and vertex 3 is in neither part
+        with pytest.raises(ValueError, match="parts do not partition the vertex set"):
+            cherry_check(g, ((0, 1), (2, 5)))

@@ -12,10 +12,11 @@ which commit runs first; one run goes at a time.  After the pairs, each
 commit gets one ``--trace 1`` run for its per-layer times.
 
 For each commit, ``DIR/BENCH_<short-sha>.json`` (DIR defaults to the
-repository root) holds per workload: every run's end-to-end metrics with
-their median and quartiles, the attempted and failed operation counts, a
-digest of every operation's stdout and ``--out`` sha256, and the traced
-per-layer metrics.  An existing file keeps its other workloads.  The
+repository root, and is created before the first run if missing) holds
+per workload: every run's end-to-end metrics with their median and
+quartiles, the attempted and failed operation counts, a digest of every
+operation's stdout and ``--out`` sha256, and the traced per-layer
+metrics.  An existing file keeps its other workloads.  The
 summary printed at the end compares the two commits metric by metric:
 medians, quartiles, the pairs the change won, whether the gain rule
 holds (at least 10 pairs, the change wins at least 9 of every 10, and
@@ -206,6 +207,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": seconds,
     }
+    args.out.mkdir(parents=True, exist_ok=True)
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work))
