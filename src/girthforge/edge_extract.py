@@ -314,8 +314,10 @@ def greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int) -> Graph:
     """Maximal family-free subgraph from one seeded pass over the edges.
 
     Keeps an edge iff it closes no forbidden cycle with the edges already
-    kept (:func:`graph.closes_forbidden_cycle`).  Maximality makes this
-    the strongest deterministic fallback on dense inputs.
+    kept (:func:`graph.closes_forbidden_cycle`, which answers C4 and C6
+    with set operations on ``adj``, one neighbor set per vertex).
+    Maximality makes this the strongest deterministic fallback on dense
+    inputs.
     """
     order = list(g.edges)
     random.Random(seed).shuffle(order)

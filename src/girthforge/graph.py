@@ -10,7 +10,9 @@ one 6-cycle instead of a BFS from every root.  :func:`check_family_free`
 answers the yes/no question alone, stopping at the first witness.
 :func:`closes_forbidden_cycle` is the per-edge test with which the greedy
 extractor (``greedy_family_free``) and the oracle's branch and bound
-decide which edges to keep.
+decide which edges to keep.  It answers C4 and C6 with set operations on
+the kept graph's neighbor sets and searches paths only for longer cycles
+or when u and v share a neighbor.  No certificate relies on it.
 
 A girth is a plain number: an int, or :data:`INFINITE` (``math.inf``) for
 a forest.  :func:`girth_json` is its one text form.
@@ -23,7 +25,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -691,12 +693,13 @@ def certify(g: Graph, fam: ForbiddenFamily, what: str) -> float:
 
 
 def closes_forbidden_cycle(
-    adj: Sequence[Collection[int]], u: int, v: int, fam: ForbiddenFamily
+    adj: Sequence[AbstractSet[int]], u: int, v: int, fam: ForbiddenFamily
 ) -> bool:
     """Would adding the edge uv to the graph ``adj`` close a cycle in ``fam``?
 
-    ``adj[x]`` holds the neighbors of x; uv must not be an edge yet.  A
-    cycle through the new edge is uv plus a simple u-v path of length l in
+    ``adj[x]`` is the set of neighbors of x (set-like: the C4 and C6
+    answers call ``isdisjoint``); uv must not be an edge yet.  A cycle
+    through the new edge is uv plus a simple u-v path of length l in
     ``adj``, so the answer is whether such a path exists with l + 1 in
     ``fam`` (l <= bound - 1).
 
@@ -704,12 +707,20 @@ def closes_forbidden_cycle(
       dist(u, v) <= L - 1.  Balls around u and v grow one level at a time,
       always on the side with the smaller frontier, until they meet or
       their radii sum to L - 1.
-    - ``even:2r``: l must be odd.  A BFS from v to radius
-      R = floor((bound - 1) / 2) gives dist(x, v) for the vertices near v;
-      a backtracking DFS from u over simple paths, with one mutable
-      on-path set, drops a branch once its remaining length budget is at
-      most R and v is not within that budget.  The BFS distance is a lower
-      bound on the length of every x-v path, so the pruning is exact.
+    - ``even:4``: l must be 3.  A 3-walk u-a-b-v is always a simple path:
+      a != v and b != u because uv is not an edge.  So the answer is
+      whether some neighbor of u shares a neighbor with v.
+    - ``even:6``: l is 3 or 5.  Let W_u be the union of N(a) over
+      a in N(u), and W_v the same from v.  If W_u meets N(v), there is a
+      3-path.  Otherwise, when v is not in W_u (u and v share no
+      neighbor), a 5-path exists iff some b in W_u is adjacent to some
+      c in W_v.  Proof: take the walk u-a-b-c-d-v.  If a = c, b = d,
+      b = u or c = v, it holds a 3-walk, so a 3-path, which the first
+      check ruled out.  If u = c, a = d or b = v, then u and v share a
+      neighbor.  Every other coincidence needs uv to be an edge.  When u
+      and v do share a neighbor, the path search decides.
+    - ``even:2r`` otherwise (:func:`_odd_path_dfs`): l must be odd, and a
+      DFS over simple paths from u, pruned by BFS distances to v, decides.
 
     This one test decides every edge of the greedy extractor and of the
     exact oracle's branch and bound.  The greedy high-girth host decides
@@ -735,6 +746,31 @@ def closes_forbidden_cycle(
             ball |= frontier
         return False
 
+    nbrs_v = adj[v]
+    if max_len == 3:
+        return any(not adj[a].isdisjoint(nbrs_v) for a in adj[u])
+    if max_len == 5:
+        reach_u = set().union(*[adj[a] for a in adj[u]])
+        if not reach_u.isdisjoint(nbrs_v):
+            return True
+        if v not in reach_u:
+            reach_v = set().union(*[adj[d] for d in nbrs_v])
+            return any(not adj[b].isdisjoint(reach_v) for b in reach_u)
+    return _odd_path_dfs(adj, u, v, max_len)
+
+
+def _odd_path_dfs(
+    adj: Sequence[AbstractSet[int]], u: int, v: int, max_len: int
+) -> bool:
+    """Is there a simple u-v path of odd length l, 3 <= l <= ``max_len``?
+
+    ``max_len`` is odd and uv is not an edge.  A BFS from v to radius
+    R = floor(max_len / 2) gives dist(x, v) for the vertices near v; a
+    backtracking DFS from u over simple paths, with one mutable on-path
+    set, drops a branch once its remaining length budget is at most R and
+    v is not within that budget.  The BFS distance is a lower bound on the
+    length of every x-v path, so the pruning is exact.
+    """
     radius = max_len // 2
     dist_v = {v: 0}
     frontier = [v]

@@ -6,7 +6,9 @@ validate extractor outputs, never to produce them.  The branch and bound
 decides each edge with :func:`graph.closes_forbidden_cycle`, the same
 test that decides every edge of the greedy extractor, so the oracle is
 independent of the extractors' pipelines but not of that test;
-``tests/bruteforce.py`` checks the test itself.
+``tests/bruteforce.py`` checks the test itself, C4 and C6 set-operation
+answers included.  The witness is re-certified by
+:func:`graph.check_family_free`, which does not use that test.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ enumeration), sharing no code paths with the library's certified
 algorithms beyond the Graph container itself.  The ``reference_*``
 functions are the plain forms of optimised library routines, kept to
 check that the optimised forms decide the same way; the greedy host's
-reference also calls the library's per-edge test, which
+reference also calls the library's per-edge test, and the greedy
+extractor's reference calls that test's path search alone, both of which
 :func:`cycle_lengths_through` checks from first principles.
 """
 
@@ -18,6 +19,7 @@ from girthforge.graph import (
     CycleWitness,
     ForbiddenFamily,
     Graph,
+    _odd_path_dfs,
     closes_forbidden_cycle,
     pair_from_index,
 )
@@ -311,6 +313,24 @@ def reference_greedy_high_girth(n: int, min_girth: int, seed: int):
             adj[v].add(u)
             edges.append((u, v))
     return edges
+
+
+def reference_greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int):
+    """The greedy extractor's pass for an ``even:2r`` family with every edge
+    decided by the path search alone (no set-operation shortcut): the same
+    seeded shuffle of ``g.edges``, each edge kept iff no simple path of odd
+    length 3..2r-1 joins its ends in the kept graph.  Returns the kept
+    edges in ``g.edges`` order."""
+    order = list(g.edges)
+    random.Random(seed).shuffle(order)
+    adj: list[set] = [set() for _ in range(g.n)]
+    kept = set()
+    for u, v in order:
+        if not _odd_path_dfs(adj, u, v, fam.bound - 1):
+            adj[u].add(v)
+            adj[v].add(u)
+            kept.add((u, v))
+    return tuple(e for e in g.edges if e in kept)
 
 
 def reference_even_cycle_meet_in_middle(g: Graph, half: int):

@@ -36,7 +36,7 @@ from girthforge.edge_extract import (
     split_and_bucket,
     star_fallback,
 )
-from bruteforce import has_forbidden, reference_case1
+from bruteforce import has_forbidden, reference_case1, reference_greedy_family_free
 from conftest import each_graph_searched_once, small_graphs
 
 EVEN4 = ForbiddenFamily("even", 4)
@@ -269,6 +269,18 @@ class TestFallbacks:
                 continue
             larger = Graph.from_edges(g.n, list(kept) + [e])
             assert has_forbidden(larger, "even", 4)
+
+    @pytest.mark.parametrize(
+        "g",
+        [random_gnm(300, 3000, s) for s in (0, 1)] + [complete(40), clique_apex(3, 20)],
+        ids=["gnm-300-3000-s0", "gnm-300-3000-s1", "K40", "clique-apex-3-20"],
+    )
+    @pytest.mark.parametrize("bound", [4, 6])
+    def test_greedy_matches_the_path_search_reference(self, g, bound):
+        fam = ForbiddenFamily("even", bound)
+        for seed in (0, 7):
+            out = greedy_family_free(g, fam, seed)
+            assert out.edges == reference_greedy_family_free(g, fam, seed)
 
 
 def _component_count(g):

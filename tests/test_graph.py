@@ -34,7 +34,7 @@ from girthforge.graph import (
     parse_edge_list,
 )
 from girthforge import graph as graph_mod
-from girthforge.hosts import incidence_graph_pg2
+from girthforge.hosts import clique_apex, complete, incidence_graph_pg2, random_gnm
 from bruteforce import (
     brute_girth,
     brute_smallest_shared_pair,
@@ -554,6 +554,102 @@ class TestClosesForbiddenCycle:
             closes_forbidden_cycle(adj, 0, 1, fam)
         with pytest.raises(ValueError):
             closes_forbidden_cycle(adj, 2, 2, fam)
+
+
+# the families whose per-edge test has a set-operation form (4, 6) and the
+# first one decided by the path search alone (8)
+SET_PATH_FAMILIES = [ForbiddenFamily("even", b) for b in (4, 6, 8)]
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs on 4..10 vertices with n <= m <= 30 edges and at least one
+    non-edge: dense enough that walks between a non-edge's ends revisit
+    vertices."""
+    n = draw(st.integers(min_value=4, max_value=10))
+    total = n * (n - 1) // 2
+    m = draw(st.integers(min_value=min(n, total - 1), max_value=min(30, total - 1)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    chosen = rng.sample(range(total), m)
+    return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
+
+
+# Each graph holds the walk u-a-b-c-d-v (u = 0, v = 9) with the named pair
+# of its vertices equal; the walk is listed with the coincidence applied.
+# With a = c, b = d, b = u or c = v the walk holds a 3-path; with u = c,
+# a = d or b = v, u and v share a neighbor and no odd u-v path of length
+# 3..5 exists, so the even:6 rule without its common-neighbor check would
+# answer True.  The a = d graph is u-w, w-b, b-c, c-w, w-v (w = a): the
+# only u-v path is u-w-v, yet u-w-b-c-w-v never backtracks.
+COINCIDENCE_WALKS = {
+    "a=c": (0, 1, 2, 1, 3, 9),
+    "b=d": (0, 1, 2, 3, 2, 9),
+    "b=u": (0, 1, 0, 3, 4, 9),
+    "c=v": (0, 1, 2, 9, 4, 9),
+    "u=c": (0, 1, 2, 0, 3, 9),
+    "a=d": (0, 1, 2, 3, 1, 9),
+    "b=v": (0, 1, 9, 3, 4, 9),
+}
+
+
+class TestSetOperationPaths:
+    @given(dense_graphs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_dense_graphs_match_bruteforce(self, g, data):
+        non_edges = [
+            (a, b) for a in range(g.n) for b in range(a + 1, g.n)
+            if not g.has_edge(a, b)
+        ]
+        u, v = data.draw(st.sampled_from(non_edges))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        lengths = cycle_lengths_through(g, u, v, 8)
+        adj = _adjacency_sets(g)
+        for fam in SET_PATH_FAMILIES:
+            expected = any(fam.matches(c) for c in lengths)
+            assert closes_forbidden_cycle(adj, u, v, fam) == expected, fam
+
+    @pytest.mark.parametrize("name", sorted(COINCIDENCE_WALKS))
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_walk_coincidences(self, name, flip):
+        walk = COINCIDENCE_WALKS[name]
+        g = Graph.from_edges(10, {tuple(sorted(e)) for e in zip(walk, walk[1:])})
+        u, v = (9, 0) if flip else (0, 9)
+        three_path = name in ("a=c", "b=d", "b=u", "c=v")
+        lengths = cycle_lengths_through(g, u, v, 8)
+        assert any(c % 2 == 0 for c in lengths) == three_path
+        adj = _adjacency_sets(g)
+        with mock.patch.object(
+            graph_mod, "_odd_path_dfs", wraps=graph_mod._odd_path_dfs
+        ) as dfs:
+            for fam in SET_PATH_FAMILIES[:2]:
+                assert closes_forbidden_cycle(adj, u, v, fam) == three_path, fam
+        # only the shared-neighbor cases reach the path search
+        assert dfs.call_count == (0 if three_path else 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [random_gnm(300, 3000, s) for s in (0, 1, 2)]
+        + [complete(40), clique_apex(3, 20)],
+        ids=["gnm-300-3000-s0", "gnm-300-3000-s1", "gnm-300-3000-s2", "K40",
+             "clique-apex-3-20"],
+    )
+    @pytest.mark.parametrize("bound", [4, 6])
+    def test_matches_the_path_search_on_every_greedy_query(self, g, bound):
+        # one greedy pass; each query is decided by both forms
+        fam = ForbiddenFamily("even", bound)
+        order = list(g.edges)
+        random.Random(bound).shuffle(order)
+        adj = [set() for _ in range(g.n)]
+        verdicts = set()
+        for u, v in order:
+            closes = closes_forbidden_cycle(adj, u, v, fam)
+            assert closes == graph_mod._odd_path_dfs(adj, u, v, bound - 1), (u, v)
+            verdicts.add(closes)
+            if not closes:
+                adj[u].add(v)
+                adj[v].add(u)
+        assert verdicts == {False, True}
 
 
 def _pair_by_row_walk(n, index):
