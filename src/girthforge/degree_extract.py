@@ -32,7 +32,6 @@ from .graph import (
 from .edge_extract import h_prime, spanning_forest
 from .hosts import (
     DESK_GREEDY_ORDER,
-    MAX_PLANE_ORDER,
     HostGraph,
     dense_subhost,
     greedy_high_girth,
@@ -282,13 +281,14 @@ def _degree_host(k_quantized: int, r: int) -> Optional[HostGraph]:
     """Girth >= 2r+2 host of order near 2k via dense_subhost, or None when
     no such host fits the order.
 
-    r = 2 uses a projective incidence graph (girth exactly 6) of plane order
-    at most MAX_PLANE_ORDER; r >= 3 the greedy construction, capped at a
-    desk-scale order, which has no girth-(2r+2) graph below 2r + 2
-    vertices.  The caller flags either cap binding as size_capped.
+    r = 2 uses the smallest projective incidence graph (girth exactly 6)
+    with k_quantized points, or the largest supported one when none has
+    that many; r >= 3 the greedy construction, capped at a desk-scale
+    order, which has no girth-(2r+2) graph below 2r + 2 vertices.  The
+    caller flags either cap binding as size_capped.
     """
     if r == 2:
-        q = min(smallest_prime_with_plane_order(k_quantized), MAX_PLANE_ORDER)
+        q = smallest_prime_with_plane_order(k_quantized)
         base = incidence_graph_pg2(q)
     else:
         n = min(2 * k_quantized, DESK_GREEDY_ORDER)

@@ -29,7 +29,6 @@ from .graph import (
 from .hosts import (
     DESK_GREEDY_ORDER,
     GREEDY_ORDER_CAP,
-    MAX_PLANE_ORDER,
     HostGraph,
     bipartite_trim,
     certify_host,
@@ -144,12 +143,12 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     Best by edge count of: the star host (one part-A center joined to all
     of B), and one bipartite base trimmed by one :func:`bipartite_trim`
     call to the top k of its first side by degree and the top b of its
-    second by degree into those k.  The base is for r = 2 the projective
-    incidence graph (skipped above plane order MAX_PLANE_ORDER), for
-    r >= 3 the bipartite double cover of a greedy girth-(2r + 1) graph
-    (skipped when the needed side is below 2r + 1 or above
-    DESK_GREEDY_ORDER).  Built once per extractor call from the cached
-    hosts of :mod:`hosts`.
+    second by degree into those k.  The base is for r = 2 the smallest
+    projective incidence graph with max(k, b) points (skipped when no
+    supported plane has that many), for r >= 3 the bipartite double cover
+    of a greedy girth-(2r + 1) graph (skipped when the needed side is below
+    2r + 1 or above DESK_GREEDY_ORDER).  Built once per extractor call from
+    the cached hosts of :mod:`hosts`.
     """
     fam = ForbiddenFamily.even_cycles_up_to(2 * r)
     candidates: list[tuple[Graph, tuple, str]] = []
@@ -164,7 +163,7 @@ def _case1_host(k: int, b: int, r: int) -> HostGraph:
     base = None
     if r == 2:
         q = smallest_prime_with_plane_order(side)
-        if q <= MAX_PLANE_ORDER:
+        if q * q + q + 1 >= side:
             inc = incidence_graph_pg2(q)
             base, parts, name = inc.graph, inc.parts, f"incidence-trim(q={q})"
     elif 2 * r + 1 <= side <= DESK_GREEDY_ORDER:
@@ -230,7 +229,8 @@ def case1_extract(g: Graph, split: DegreeSplit, host: HostGraph, seed: int) -> G
 
 
 def _case2_base_host(target: int, r: int) -> HostGraph:
-    """Even-cycle-free base host on roughly ``target`` vertices; both
+    """Even-cycle-free base host on roughly ``target`` vertices, capped at
+    the largest supported plane (r = 2) or GREEDY_ORDER_CAP (r >= 3); both
     constructors cache their hosts."""
     if r == 2:
         q = smallest_prime_with_plane_order(target)
@@ -244,11 +244,12 @@ def _case2_base_host(target: int, r: int) -> HostGraph:
 def case2_extract(g2: Graph, r: int, seed: int, edge_budget: int) -> Graph:
     """Random labeling of the low-degree side into a bipartized host.
 
-    Builds a host on about 2*sqrt(m) vertices, m = ``edge_budget`` being
-    the edge count of the graph whose low-degree side ``g2`` is, bipartizes
-    it by the k=3 local search (keeping at least half its edges and making
-    it free of all cycles up to 2r+1), samples a uniform labeling, and
-    returns the doubly-color-unique subgraph.
+    Builds a host on about 2*sqrt(m) vertices (fewer when that exceeds
+    the largest host :func:`_case2_base_host` builds), m = ``edge_budget``
+    being the edge count of the graph whose low-degree side ``g2`` is,
+    bipartizes it by the k=3 local search (keeping at least half its edges
+    and making it free of all cycles up to 2r+1), samples a uniform
+    labeling, and returns the doubly-color-unique subgraph.
     """
     m = max(edge_budget, 1)
     threshold_sq = 4 * m

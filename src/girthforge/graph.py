@@ -828,7 +828,8 @@ MAX_VERTEX_ID = 2**22 - 1
 def parse_edge_list(text: str) -> Graph:
     """Parse the one-edge-per-line format.
 
-    Two whitespace-separated 0-based vertex ids per line, each at most
+    Two whitespace-separated 0-based vertex ids per line, each the ASCII
+    digits 0-9 (no ``+``, ``_`` or other digits) and at most
     :data:`MAX_VERTEX_ID`; '#' starts a comment line; blank lines ignored;
     loops, duplicates and ids beyond the cap rejected with the offending
     line number.  Ids are kept as given: unused ids below the largest one
@@ -845,10 +846,12 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        a, b = parts
+        if not (a + b).isascii() or not (
+            a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()
+        ):
             raise EdgeListParseError(f"line {lineno}: non-integer vertex in {raw!r}")
+        u, v = int(a), int(b)
         if u < 0 or v < 0:
             raise EdgeListParseError(f"line {lineno}: negative vertex id")
         if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:

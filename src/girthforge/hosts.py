@@ -5,7 +5,9 @@ carries a verified certificate (forbidden-family freeness, exact girth,
 minimum degree).  Every host, the PG(2,q) incidence graph included, is
 certified by the same :func:`graph.certify` search as every output, and
 construction aborts if it fails.  The three host constructors are the only
-memoized functions, each by a bounded cache.
+memoized functions, each by a bounded cache.  The PG(2,q) orders this module
+builds are one table, :data:`PLANE_ORDERS`, and every caller picks its order
+from it through :func:`smallest_prime_with_plane_order`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from .graph import (
 
 GREEDY_ORDER_CAP = 3000  # all-pairs permutation kept in memory
 DESK_GREEDY_ORDER = 400  # largest greedy host built for a desk-scale step
-MAX_PLANE_ORDER = 101  # largest prime q of a PG(2,q) host
+MAX_PLANE_ORDER = 101  # largest order q of a PG(2,q) host
+# the supported plane orders, ascending: the primes up to MAX_PLANE_ORDER
+PLANE_ORDERS = tuple(
+    q for q in range(2, MAX_PLANE_ORDER + 1) if all(q % d for d in range(2, q))
+)
 
 
 @dataclass(frozen=True)
@@ -93,29 +99,14 @@ def certify_host(
 
 
 # ---------------------------------------------------------------------------
-# primes and projective-plane machinery
+# projective-plane machinery
 # ---------------------------------------------------------------------------
 
 
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def smallest_prime_with_plane_order(size: int) -> int:
-    """Smallest prime q with q*q + q + 1 >= size (trial division)."""
-    q = 2
-    while q * q + q + 1 < size:
-        q += 1
-    while not is_prime(q):
-        q += 1
-    return q
+    """Smallest q of :data:`PLANE_ORDERS` with q*q + q + 1 >= size, or
+    MAX_PLANE_ORDER when there is none; every PG(2,q) host choice uses it."""
+    return next((q for q in PLANE_ORDERS if q * q + q + 1 >= size), MAX_PLANE_ORDER)
 
 
 def _pg2_points(q: int) -> list[tuple[int, int, int]]:
@@ -141,12 +132,11 @@ def _pg2_orthogonal_pairs(q: int):
 
     The work and memory are O(n q) for the n = q^2 + q + 1 points, not the
     n^2 products of the definition.  This is the one check of the plane
-    order for both PG(2,q) hosts: q must be a prime in 2..MAX_PLANE_ORDER,
-    the bound checked first so that :func:`is_prime` never runs on a huge q.
+    order for both PG(2,q) hosts: q must be in :data:`PLANE_ORDERS`.
     """
-    if q > MAX_PLANE_ORDER:
-        raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
-    if not is_prime(q):
+    if q not in PLANE_ORDERS:
+        if q > MAX_PLANE_ORDER:
+            raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
         raise ValueError(f"q must be prime, got {q}")
     import numpy as np
 

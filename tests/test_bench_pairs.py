@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,67 @@ def test_main_creates_a_missing_work_dir(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     assert work.is_dir() and not any(work.iterdir())
     assert (out / "BENCH_0123abc.json").exists()
+
+
+class TestLayerMedians:
+    def test_median_of_each_metric(self):
+        traced = [
+            {"metrics": {"graph.girth_s": {"unit": "s", "value": v}}}
+            for v in (0.5, 0.3, 0.4)
+        ]
+        got = bench_pairs.layer_medians(traced)
+        expected = {"unit": "s", "value": 0.4, "runs": [0.5, 0.3, 0.4]}
+        assert got == {"graph.girth_s": expected}
+
+    def test_absent_in_any_run_stays_absent(self):
+        gone = {"unit": "s", "value": None, "absent": "not traced"}
+        parse = ({"unit": "s", "value": 0.1}, gone, gone)
+        builds = ({"unit": "count", "value": b} for b in (2, 4, 3))
+        traced = [
+            {"metrics": {"graph.parse_s": p, "hosts.builds": b}}
+            for p, b in zip(parse, builds)
+        ]
+        got = bench_pairs.layer_medians(traced)
+        assert got["graph.parse_s"] == gone
+        assert got["hosts.builds"]["value"] == 3
+
+
+def test_main_takes_three_traced_runs_per_side(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_export(commit, tree):
+        tree.mkdir()
+        return tree
+
+    def fake_bench(tree, workload, seed, seconds, trace):
+        calls.append((tree.name, trace))
+        name = "graph.parse_s" if trace else "wall_s"
+        return {
+            "metrics": {name: {"unit": "s", "value": float(len(calls))}},
+            "attempted": 1,
+            "failed": 0,
+            "output_digest": "x",
+        }
+
+    shas = iter(["aaa", "bbb", "aaa", "bbb"])
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: next(shas))
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    argv = ["A", "B", "--workload", "edges-sparse", "--seed", "1", "--pairs", "2",
+            "--out", str(tmp_path), "--work", str(tmp_path / "work")]  # fmt: skip
+    assert bench_pairs.main(argv) == 0
+    # pairs (parent first, then change first), then the traced runs, alternating
+    assert calls == [
+        ("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+        ("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
+        ("parent", 1), ("change", 1),
+    ]  # fmt: skip
+    assert bench_pairs.TRACED_RUNS == 3
+    layers = {
+        side: json.loads((tmp_path / f"BENCH_{side}.json").read_text())["workloads"][
+            "edges-sparse"
+        ]["per_layer"]["graph.parse_s"]
+        for side in ("aaa", "bbb")
+    }
+    assert layers["aaa"] == {"unit": "s", "value": 8.0, "runs": [5.0, 8.0, 9.0]}
+    assert layers["bbb"] == {"unit": "s", "value": 7.0, "runs": [6.0, 7.0, 10.0]}

@@ -75,6 +75,16 @@ class TestVerify:
         code, _ = run(capsys, ["verify", "--family", "even:4", "--in", str(p)])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["1_0 2\n", "+3 4\n"])
+    def test_non_decimal_id_usage_error(self, capsys, tmp_path, text):
+        # int() reads these as 10 and 3; the parser's own tests cover the
+        # non-ASCII digits
+        p = tmp_path / "odd.edges"
+        p.write_text(text)
+        code = main(["verify", "--family", "even:4", "--in", str(p)])
+        assert code == 1
+        assert "line 1: non-integer vertex" in capsys.readouterr().err
+
     def test_vertex_id_beyond_cap_usage_error(self, capsys, tmp_path):
         p = tmp_path / "huge.edges"
         p.write_text(f"0 1\n0 {MAX_VERTEX_ID + 1}\n")

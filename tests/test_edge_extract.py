@@ -11,10 +11,12 @@ from girthforge.graph import (
     ForbiddenFamily,
     Graph,
     VertexColoring,
+    certify,
     check_family_free,
     girth,
 )
 from girthforge import edge_extract as edge_mod
+from girthforge import hosts as hosts_mod
 from girthforge.hosts import (
     clique_apex,
     complete,
@@ -40,6 +42,21 @@ from bruteforce import has_forbidden, reference_case1, reference_greedy_family_f
 from conftest import each_graph_searched_once, small_graphs
 
 EVEN4 = ForbiddenFamily("even", 4)
+
+
+@pytest.fixture()
+def planes_up_to_5(monkeypatch):
+    """Shrink the supported plane orders to 2, 3 and 5, so that PG(2,5)
+    (31 points) is the largest plane and going past it stays fast."""
+    monkeypatch.setattr(hosts_mod, "PLANE_ORDERS", (2, 3, 5))
+    monkeypatch.setattr(hosts_mod, "MAX_PLANE_ORDER", 5)
+
+
+def _spy(monkeypatch, name):
+    """The plane orders ``edge_extract.<name>`` is called with."""
+    build, seen = getattr(edge_mod, name), []
+    monkeypatch.setattr(edge_mod, name, lambda q: seen.append(q) or build(q))
+    return seen
 
 
 def _hub_graph(hubs: int, low: int, moves: int, seed: int) -> Graph:
@@ -214,6 +231,15 @@ class TestCase1:
         out = case1_extract(g, split, host, seed)
         assert out.edges == reference_case1(g, split, host.graph, host.parts, seed)
 
+    @pytest.mark.parametrize("side, planes", [(31, [5]), (32, [])])
+    def test_base_only_when_the_largest_plane_fits(
+        self, planes_up_to_5, monkeypatch, side, planes
+    ):
+        seen = _spy(monkeypatch, "incidence_graph_pg2")
+        host = _case1_host(3, side, 2)
+        assert seen == planes
+        assert len(host.parts[1]) == side
+
     @pytest.mark.parametrize("k, b, r", sorted(CASE1_HOST_DIGESTS))
     def test_host_digests(self, k, b, r):
         host = _case1_host(k, b, r)
@@ -237,6 +263,23 @@ class TestCase2:
         g = random_gnm(40, 60, 4)
         out = case2_extract(g, 3, 11, g.m)
         assert check_family_free(out, ForbiddenFamily("even", 6)).free
+
+    def test_host_above_the_largest_plane_is_capped(self, planes_up_to_5, monkeypatch):
+        # a budget of 1000 edges asks for ceil(2 sqrt(1000)) = 64 > 31 points
+        seen = _spy(monkeypatch, "polarity_graph")
+        g = random_gnm(40, 60, 3)
+        out = case2_extract(g, 2, 11, 1000)
+        assert seen == [5]
+        certify(out, EVEN4, "case 2 output")
+        assert set(out.edges) <= set(g.edges)
+
+    def test_largest_plane_at_full_scale(self, monkeypatch):
+        # 27,100,000 edges ask for 10,412 points, beyond PG(2,101)'s 10,303;
+        # the host itself is not built here
+        seen = []
+        monkeypatch.setattr(edge_mod, "polarity_graph", seen.append)
+        edge_mod._case2_base_host(10_412, 2)
+        assert seen == [101]
 
 
 class TestFallbacks:

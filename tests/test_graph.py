@@ -743,6 +743,22 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListParseError, match="line 1"):
             parse_edge_list("0 one\n")
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "+3", "٣", "３", "1٠", "²", "-", "--1", "-+1", "0x1"],
+    )
+    def test_ids_are_ascii_decimal(self, token):
+        # int() alone accepts the first five (underscores, a plus sign and
+        # Arabic-Indic or fullwidth digits)
+        for text in (f"0 1\n{token} 4\n", f"0 1\n4 {token}\n"):
+            with pytest.raises(EdgeListParseError, match="line 2: non-integer vertex"):
+                parse_edge_list(text)
+
+    def test_leading_minus_is_a_negative_id(self):
+        with pytest.raises(EdgeListParseError, match="line 1: negative vertex id"):
+            parse_edge_list("-1 2\n")
+        assert parse_edge_list("-0 007\n").edges == ((0, 7),)
+
     def test_vertex_id_beyond_cap_rejected(self):
         big = MAX_VERTEX_ID + 1
         with pytest.raises(

@@ -25,6 +25,8 @@ from girthforge.graph import (
     girth,
 )
 from girthforge.hosts import (
+    MAX_PLANE_ORDER,
+    PLANE_ORDERS,
     bipartite_trim,
     clique_apex,
     complete,
@@ -32,7 +34,6 @@ from girthforge.hosts import (
     dense_subhost,
     greedy_high_girth,
     incidence_graph_pg2,
-    is_prime,
     polarity_graph,
     random_gnm,
     smallest_prime_with_plane_order,
@@ -49,9 +50,10 @@ from conftest import bipartite_graphs
 
 
 class TestPrimes:
-    def test_is_prime(self):
-        primes = [p for p in range(60) if is_prime(p)]
-        assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    def test_plane_orders_are_the_primes(self):
+        brute = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+        assert PLANE_ORDERS == tuple(brute)
+        assert PLANE_ORDERS[-1] == MAX_PLANE_ORDER == 101
 
     def test_smallest_plane_order(self):
         assert smallest_prime_with_plane_order(7) == 2
@@ -59,6 +61,16 @@ class TestPrimes:
         assert smallest_prime_with_plane_order(14) == 5
         assert smallest_prime_with_plane_order(183) == 13
         assert smallest_prime_with_plane_order(200) == 17
+
+    @pytest.mark.parametrize("size", [10_303, 10_304, 10**9])
+    def test_lookup_is_capped_at_the_largest_plane(self, size):
+        # PG(2,101) has 10,303 points; no larger plane is supported
+        assert smallest_prime_with_plane_order(size) == 101
+
+    def test_each_order_fits_its_own_plane(self):
+        for lower, q in zip((1,) + PLANE_ORDERS, PLANE_ORDERS):
+            assert smallest_prime_with_plane_order(q * q + q + 1) == q
+            assert smallest_prime_with_plane_order(lower * lower + lower + 2) == q
 
 
 class TestPolarityGraph:
@@ -94,12 +106,8 @@ class TestPolarityGraph:
             build(103)
 
     @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
-    def test_range_is_checked_before_primality(self, build, monkeypatch):
-        # trial division on 10**18 + 3 (a prime) would take about 10**9 steps
-        def no_trial_division(q):
-            raise AssertionError(f"is_prime({q}) called")
-
-        monkeypatch.setattr(hosts_mod, "is_prime", no_trial_division)
+    def test_range_is_checked_before_primality(self, build):
+        # 10**18 + 3 is prime, yet the range message comes first
         with pytest.raises(ValueError, match=r"outside the supported range 2\.\.101"):
             build(10**18 + 3)
 
@@ -124,7 +132,7 @@ class TestIncidenceGraph:
 
 
 class TestOrthogonalPairs:
-    @pytest.mark.parametrize("q", [p for p in range(32) if is_prime(p)] + [67])
+    @pytest.mark.parametrize("q", [p for p in PLANE_ORDERS if p < 32] + [67])
     def test_closed_form_matches_dot_products(self, q):
         rows, cols = hosts_mod._pg2_orthogonal_pairs(q)
         assert (rows.tolist(), cols.tolist()) == brute_orthogonal_pairs(q)

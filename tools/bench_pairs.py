@@ -9,14 +9,15 @@ at the end), and the benchmark there runs unchanged:
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``,
 where T is ``run_seconds`` from ``BENCHMARK.json``.  Pairs alternate
 which commit runs first; one run goes at a time.  After the pairs, each
-commit gets one ``--trace 1`` run for its per-layer times.
+commit gets ``TRACED_RUNS`` ``--trace 1`` runs, again alternating, and
+each per-layer metric is their median (absent if any run lacks it).
 
 For each commit, ``DIR/BENCH_<short-sha>.json`` (DIR defaults to the
 repository root, and is created before the first run if missing) holds
 per workload: every run's end-to-end metrics with their median and
 quartiles, the attempted and failed operation counts, a digest of every
 operation's stdout and ``--out`` sha256, and the traced per-layer
-metrics.  An existing file keeps its other workloads.  The
+medians with their runs.  An existing file keeps its other workloads.  The
 summary printed at the end compares the two commits metric by metric:
 medians, quartiles, the pairs the change won, whether the gain rule
 holds (at least 10 pairs, the change wins at least 9 of every 10, and
@@ -42,6 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3  # per commit; one traced run cannot show whether a layer moved
 
 
 def git(*args: str) -> str:
@@ -106,7 +108,24 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(runs: list[dict], traced: dict) -> dict:
+def layer_medians(traced: list[dict]) -> dict:
+    """Each per-layer metric of the traced runs as the median of its values,
+    which are kept under ``runs``; a metric absent (value None) in any run
+    stays absent, as the first such run reports it."""
+    medians = {}
+    for name, first in traced[0]["metrics"].items():
+        metrics = [t["metrics"][name] for t in traced]
+        absent = [m for m in metrics if m["value"] is None]
+        if absent:
+            medians[name] = absent[0]
+            continue
+        values = [m["value"] for m in metrics]
+        median = statistics.median(values)
+        medians[name] = {"unit": first["unit"], "value": median, "runs": values}
+    return medians
+
+
+def summarize(runs: list[dict], traced: list[dict]) -> dict:
     names = list(runs[0]["metrics"])
     return {
         "runs": len(runs),
@@ -120,7 +139,7 @@ def summarize(runs: list[dict], traced: dict) -> dict:
             }
             for name in names
         },
-        "per_layer": traced["metrics"],
+        "per_layer": layer_medians(traced),
     }
 
 
@@ -222,10 +241,14 @@ def main(argv=None) -> int:
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i + 1} {shorts[side]} wall_s {wall:.3f}",
                           flush=True)
+            traced: list[list[dict]] = [[], []]
+            for i in range(TRACED_RUNS):
+                for side in (0, 1) if i % 2 == 0 else (1, 0):
+                    result = bench(trees[side], workload, args.seed, seconds, 1)
+                    traced[side].append(result)
             entries = []
             for side in (0, 1):
-                traced = bench(trees[side], workload, args.seed, seconds, 1)
-                entry = summarize(runs[side], traced)
+                entry = summarize(runs[side], traced[side])
                 entry.update(
                     setting,
                     command=(
