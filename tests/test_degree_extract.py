@@ -14,6 +14,7 @@ from girthforge.graph import (
     girth,
 )
 from girthforge.hosts import (
+    PLANE_ORDERS,
     clique_apex,
     complete,
     complete_bipartite,
@@ -500,6 +501,7 @@ class TestDegreeHost:
             kqs.append(kq)
             kq *= 2
         assert (kqs[0], kqs[-1], len(planes)) == (128, 32768, len(kqs))
+        assert set(planes) <= set(PLANE_ORDERS)
         for kq, q in zip(kqs, planes):
             n = q * q + q + 1
             assert self._needs_no_pruning(2 * n, (q + 1) * n, q + 1, kq), (kq, q)
