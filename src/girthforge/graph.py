@@ -487,7 +487,7 @@ def _find_c4(g: Graph) -> Optional[CycleWitness]:
     return None
 
 
-_PAIR_BLOCK = 1 << 20  # walks listed, and (row, column) slots, per block
+_PAIR_BLOCK = 1 << 18  # walks listed, and (row, column) slots, per block
 
 
 def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
@@ -511,27 +511,41 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     A block ends before it lists more than ``_PAIR_BLOCK`` walks or spans
     more than ``_PAIR_BLOCK`` (row, column) slots, rows x n, but always
     holds at least one row.  The answer does not depend on where blocks
-    end, so one budget bounds both.  The work is O(n + sum C(d,2)); memory
+    end, so one budget bounds both.  Rows that list no walk are skipped,
+    so a graph of many isolated or low vertices costs no pass per row.  The work is O(n + sum C(d,2)); memory
     is O(n + m) plus one block, on any input.
+
+    The set-up arrays indexed by adjacency entry (``indices``, ``rank``,
+    ``first``, ``lens``) and by vertex are int32: vertex ids, positions in
+    the adjacency and degrees stay below 2**31 while the 2m adjacency
+    entries do, and ``rank`` is freed once ``first`` and ``lens`` exist.
+    Only the walk prefix sums (``walks``, ``row_walks``) are int64, since
+    the sum of C(d, 2) passes 2**31 on dense graphs.  A block's arrays
+    (``ids``, ``pos``, ``keys`` and the slot table) are numpy's intp, the
+    type it converts every index array to, so each holds about
+    ``_PAIR_BLOCK`` entries, 2 MB at 2**18.
     """
     import numpy as np
 
     n = g.n
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.int32, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(deg, out=indptr[1:])
     indices = np.fromiter(
-        itertools.chain.from_iterable(g.adjacency), dtype=np.intp, count=int(indptr[-1])
+        itertools.chain.from_iterable(g.adjacency), dtype=np.int32, count=int(indptr[-1])
     )
     # entry p is the edge a -> u = indices[p]; rank[p] is where a sits in
     # u's neighbor list (entries reach u in increasing a, as rows do)
     order = np.argsort(indices, kind="stable")
     rank = np.empty_like(indices)
-    rank[order] = np.arange(indices.size) - indptr[indices[order]]
+    rank[order] = np.arange(indices.size, dtype=np.int32) - indptr[indices[order]]
+    del order
     first = indptr[indices] + rank + 1  # the first b > a in u's list
     # walks a - u - b with u < a are dropped: see the docstring
-    lens = np.where(indices > np.repeat(np.arange(n), deg), deg[indices] - rank - 1, 0)
-    walks = np.zeros(indices.size + 1, dtype=np.intp)
+    lens = deg[indices] - rank - 1
+    del rank
+    lens[indices < np.repeat(np.arange(n, dtype=np.int32), deg)] = 0
+    walks = np.zeros(indices.size + 1, dtype=np.int64)
     np.cumsum(lens, out=walks[1:])
     row_walks = walks[indptr]  # walks from rows < a
     rows_cap = max(1, _PAIR_BLOCK // max(n, 1))
@@ -548,16 +562,15 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
             ids = np.arange(total)
             pos = np.repeat(first[lo:hi] - (walks[lo:hi] - walks[lo]), lens[lo:hi])
             pos += ids
-            keys = indices[pos]  # b, then (a - a0) * n + b
-            keys += np.repeat(
-                np.arange(0, (a1 - a0) * n, n), np.diff(row_walks[a0 : a1 + 1])
-            )
+            keys = np.repeat(np.arange(0, (a1 - a0) * n, n), np.diff(row_walks[a0 : a1 + 1]))
+            keys += indices[pos]  # (a - a0) * n + b
             slot[keys] = ids
             repeated = keys[slot[keys] != ids]
             if repeated.size:
                 key = int(repeated.min())
                 return a0 + key // n, key % n
-        a0 = a1
+        # the next block starts at the next row that lists a walk
+        a0 = int(np.searchsorted(row_walks, row_walks[a1], "right")) - 1
     return None
 
 

@@ -12,11 +12,12 @@ from it through :func:`smallest_prime_with_plane_order`.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import (
     CertificationError,
@@ -156,17 +157,36 @@ def _pg2_orthogonal_pairs(q: int):
     return np.repeat(np.arange(len(x0)), q + 1), ys.ravel()
 
 
+def _shared_id_pairs(rows, cols, ids: list[int]) -> list[tuple[int, int]]:
+    """The pairs (ids[i], ids[j]) of the index arrays ``rows`` and ``cols``,
+    in order, converted one run of equal ``rows`` at a time.
+
+    Every endpoint is the one int object ``ids`` holds for its vertex id,
+    shared by the edge tuples and, through :meth:`Graph.from_edges`, the
+    adjacency tuples.  ``tolist()`` on the whole arrays would make one
+    fresh int per endpoint, all alive until the graph is built.
+    """
+    import numpy as np
+
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each run's first entry
+    pairs: list[tuple[int, int]] = []
+    for i, row in zip(rows[starts].tolist(), np.split(cols, starts[1:])):
+        pairs.extend(zip(itertools.repeat(ids[i]), map(ids.__getitem__, row.tolist())))
+    return pairs
+
+
 @functools.lru_cache(maxsize=4)
 def polarity_graph(q: int) -> HostGraph:
     """C4-free polarity graph of the projective plane of order q.
 
     Vertices are the q^2+q+1 projective points; x ~ y iff x . y == 0 (mod q)
-    and x != y.  Degrees are q+1, except q at the q+1 absolute points.
+    and x != y.  Degrees are q+1, except q at the q+1 absolute points.  The
+    edges hold one int object per vertex id (see :func:`_shared_id_pairs`).
     """
     n = q * q + q + 1
     rows, cols = _pg2_orthogonal_pairs(q)
     upper = rows < cols
-    graph = Graph.from_edges(n, zip(rows[upper].tolist(), cols[upper].tolist()))
+    graph = Graph.from_edges(n, _shared_id_pairs(rows[upper], cols[upper], list(range(n))))
     host = certify_host(
         graph,
         ForbiddenFamily.even_cycles_up_to(4),
@@ -188,12 +208,14 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     when x_i . x_j == 0 (mod q).  The regularity is checked here, and the
     even:4 family and the exact girth come from the one :func:`certify_host`
     call that every host makes: the graph two-colors, has no C4, and the
-    first 6-cycle found fixes the girth at 6.
+    first 6-cycle found fixes the girth at 6.  The edges, and the two
+    parts, hold one int object per vertex id (see :func:`_shared_id_pairs`).
     """
     n = q * q + q + 1
-    rows, cols = _pg2_orthogonal_pairs(q)
-    graph = Graph.from_edges(2 * n, zip(rows.tolist(), (cols + n).tolist()))
-    parts = (tuple(range(n)), tuple(range(n, 2 * n)))
+    rows, cols = _pg2_orthogonal_pairs(q)  # checks q before anything is sized by it
+    ids = list(range(2 * n))
+    graph = Graph.from_edges(2 * n, _shared_id_pairs(rows, cols + n, ids))
+    parts = (tuple(ids[:n]), tuple(ids[n:]))
     for v in range(2 * n):
         if graph.degree(v) != q + 1:
             raise CertificationError(f"incidence(q={q}): vertex {v} not (q+1)-regular")
@@ -233,7 +255,9 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
     if n > GREEDY_ORDER_CAP:
         raise ValueError(f"greedy construction capped at {GREEDY_ORDER_CAP} vertices")
     total = n * (n - 1) // 2
-    order = list(range(total))
+    # 4 bytes per pair, not a list of ints; GREEDY_ORDER_CAP keeps every
+    # index below 2**31, and shuffle permutes it as it would the list
+    order = array.array("i", range(total))
     random.Random(seed).shuffle(order)
     # cycles shorter than min_girth; with min_girth 3 nothing is forbidden
     if min_girth >= 4:
@@ -248,7 +272,7 @@ def greedy_high_girth(n: int, min_girth: int, seed: int) -> HostGraph:
     return certify_host(graph, family, label=label)
 
 
-def _greedy_ball_pass(n: int, order: list[int], reach: int) -> list[tuple[int, int]]:
+def _greedy_ball_pass(n: int, order: Iterable[int], reach: int) -> list[tuple[int, int]]:
     """The pairs of ``order`` (indices as in :func:`pair_from_index`) kept
     by a greedy pass that adds uv iff dist(u, v) > ``reach`` in the graph
     built so far, in the order they are kept.

@@ -317,6 +317,38 @@ class TestSmallestSharedPair:
         k = Graph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
         assert graph_mod._smallest_shared_pair(k) == (0, 1)
 
+    def test_rows_above_the_block_one_row_at_a_time(self):
+        # n > _PAIR_BLOCK, so every block holds one row; the only C4 is
+        # n-4 - n-3 - n-2 - n-1 on the four highest ids, below it a path:
+        # n-4 and n-2 share n-3 and n-1, and no lower pair shares two
+        n = graph_mod._PAIR_BLOCK + 5
+        edges = [(i, i + 1) for i in range(300)] + [(n - 5, n - 4)]
+        edges += [(n - 4, n - 3), (n - 3, n - 2), (n - 2, n - 1), (n - 1, n - 4)]
+        g = Graph.from_edges(n, edges)
+        assert max(1, graph_mod._PAIR_BLOCK // n) == 1
+        assert graph_mod._smallest_shared_pair(g) == (n - 4, n - 2)
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            # K2,6: row 0 lists the six walks 0 - u - 1, all on the pair (0, 1)
+            (8, [(a, u) for a in (0, 1) for u in range(2, 8)], (0, 1)),
+            # a tree of depth two under 0 (four children, four leaves each),
+            # so row 0 lists 16 walks and no pair twice, and the C4
+            # 21-22-23-24 apart from it: 21 and 23 share 22 and 24
+            (25, [(0, c) for c in range(1, 5)]
+             + [(c, 1 + 4 * c + i) for c in range(1, 5) for i in range(4)]
+             + [(21, 22), (22, 23), (23, 24), (24, 21)], (21, 23)),
+        ],
+        ids=["repeat-in-first-row", "c4-after-a-long-first-row"],
+    )
+    def test_first_row_past_the_block(self, n, edges, expected):
+        # a block always holds one row, even one that lists more walks
+        # than _PAIR_BLOCK
+        g = Graph.from_edges(n, edges)
+        with mock.patch.object(graph_mod, "_PAIR_BLOCK", 4):
+            assert graph_mod._smallest_shared_pair(g) == expected
+
     def test_large_workload_witness(self):
         # sum C(d,2) past the dict path's limit: the witness is the smallest
         # shared pair with its two smallest common neighbors

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -111,6 +112,14 @@ class TestPolarityGraph:
         with pytest.raises(ValueError, match=r"outside the supported range 2\.\.101"):
             build(10**18 + 3)
 
+    @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
+    def test_one_int_object_per_vertex_id(self, build):
+        # every endpoint of a given id is one shared int (ids above 256 are
+        # not cached by the interpreter), not a fresh int per endpoint
+        g = build(23).graph
+        endpoints = [v for e in g.edges for v in e] + [v for a in g.adjacency for v in a]
+        assert len({id(v) for v in endpoints}) == len(set(endpoints)) == g.n
+
 
 class TestIncidenceGraph:
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -195,7 +204,7 @@ class TestIncidenceCertificate:
         ).stdout
         code, maxrss_kib = map(int, out.split())  # ru_maxrss is in KiB on Linux
         assert code == 0
-        assert maxrss_kib / 1024 < 400
+        assert maxrss_kib / 1024 < 120
 
 
 class TestGreedyHighGirth:
@@ -232,6 +241,15 @@ class TestGreedyHighGirth:
                 host = greedy_high_girth(n, min_girth, seed)
                 expected = reference_greedy_high_girth(n, min_girth, seed)
                 assert host.graph.edges == tuple(expected), (n, min_girth, seed)
+
+    @pytest.mark.parametrize("n, min_girth, seed", [(150, 5, 0), (300, 7, 3), (400, 6, 11)])
+    def test_array_order_keeps_the_list_order_edges(self, n, min_girth, seed):
+        # the pair order is an array.array; shuffling a list of the same
+        # indices with the same seed gives the same kept edges
+        order = list(range(n * (n - 1) // 2))
+        random.Random(seed).shuffle(order)
+        expected = hosts_mod._greedy_ball_pass(n, order, min_girth - 2)
+        assert greedy_high_girth(n, min_girth, seed).graph.edges == tuple(expected)
 
     def test_ball_state_does_not_grow_with_girth(self):
         # two n-bit ints per vertex whatever the girth, not one per radius
