@@ -512,8 +512,9 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     more than ``_PAIR_BLOCK`` (row, column) slots, rows x n, but always
     holds at least one row.  The answer does not depend on where blocks
     end, so one budget bounds both.  Rows that list no walk are skipped,
-    so a graph of many isolated or low vertices costs no pass per row.  The work is O(n + sum C(d,2)); memory
-    is O(n + m) plus one block, on any input.
+    so a graph of many isolated or low vertices costs no pass per row.
+    The work is O(n + sum C(d,2)); memory is O(n + m) plus one block, on
+    any input.
 
     The set-up arrays indexed by adjacency entry (``indices``, ``rank``,
     ``first``, ``lens``) and by vertex are int32: vertex ids, positions in
@@ -521,9 +522,9 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     entries do, and ``rank`` is freed once ``first`` and ``lens`` exist.
     Only the walk prefix sums (``walks``, ``row_walks``) are int64, since
     the sum of C(d, 2) passes 2**31 on dense graphs.  A block's arrays
-    (``ids``, ``pos``, ``keys`` and the slot table) are numpy's intp, the
-    type it converts every index array to, so each holds about
-    ``_PAIR_BLOCK`` entries, 2 MB at 2**18.
+    (``ids``, ``pos``, ``keys`` and the slot table) are intp, numpy's index
+    type, since it casts an index array of any other type as it goes; each
+    holds about ``_PAIR_BLOCK`` entries, 2 MB at 2**18.
     """
     import numpy as np
 

@@ -325,7 +325,6 @@ class TestSmallestSharedPair:
         edges = [(i, i + 1) for i in range(300)] + [(n - 5, n - 4)]
         edges += [(n - 4, n - 3), (n - 3, n - 2), (n - 2, n - 1), (n - 1, n - 4)]
         g = Graph.from_edges(n, edges)
-        assert max(1, graph_mod._PAIR_BLOCK // n) == 1
         assert graph_mod._smallest_shared_pair(g) == (n - 4, n - 2)
 
     @pytest.mark.parametrize(
