@@ -20,6 +20,7 @@ a forest.  :func:`girth_json` is its one text form.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -100,10 +101,16 @@ class Graph:
 
     @functools.cached_property
     def adjacency_sets(self) -> tuple[frozenset, ...]:
+        """One frozenset of neighbors per vertex, built on first use: the
+        host lookups of a labeling and of the resampler read it."""
         return tuple(frozenset(a) for a in self.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency_sets[u]
+        """Whether uv is an edge, by a binary search of the sorted
+        ``adjacency[u]``; it never builds :attr:`adjacency_sets`."""
+        row = self.adjacency[u]
+        i = bisect.bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
 
 def _assemble(n: int, pairs: list[tuple[int, int]]) -> Graph:
@@ -472,7 +479,7 @@ def _find_c4(g: Graph) -> Optional[CycleWitness]:
         if pair is None:
             return None
         a, b = pair
-        mids = sorted(g.adjacency_sets[a] & g.adjacency_sets[b])
+        mids = sorted(set(g.adjacency[a]).intersection(g.adjacency[b]))
         return CycleWitness((mids[0], a, mids[1], b))
     seen: dict[tuple[int, int], int] = {}
     for u in range(g.n):

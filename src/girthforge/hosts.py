@@ -7,7 +7,9 @@ certified by the same :func:`graph.certify` search as every output, and
 construction aborts if it fails.  The three host constructors are the only
 memoized functions, each by a bounded cache.  The PG(2,q) orders this module
 builds are one table, :data:`PLANE_ORDERS`, and every caller picks its order
-from it through :func:`smallest_prime_with_plane_order`.
+from it through :func:`smallest_prime_with_plane_order`.  Both PG(2,q) hosts
+are built in plain Python from one closed form, :func:`_pg2_orthogonal_rows`;
+numpy serves only the C4 scan of their certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph import (
     CertificationError,
@@ -118,61 +120,41 @@ def _pg2_points(q: int) -> list[tuple[int, int, int]]:
     return pts
 
 
-def _pg2_orthogonal_pairs(q: int):
-    """Index arrays (i, j) of the pairs of projective points with
-    x_i . x_j == 0 (mod q), in row-major order (i, then j).
+def _pg2_orthogonal_rows(q: int) -> Iterator[list[int]]:
+    """Row i lists the q + 1 indices j of the projective points with
+    x_i . x_j == 0 (mod q), in increasing order; the rows come lazily, in
+    the order of :func:`_pg2_points`.
 
-    Each point x has exactly q + 1 such y, found in closed form with
-    modular inverses, in increasing index order: first the y = (1, a, b)
-    (index a q + b), then the y = (0, 1, a) (q^2 + a) or (0, 0, 1)
-    (q^2 + q).  By the form of x:
+    Each row is found in closed form with modular inverses: first the
+    y = (1, a, b) (index a q + b), then the y = (0, 1, a) (q^2 + a) or
+    (0, 0, 1) (q^2 + q).  By the form of x:
 
     - x2 != 0: b = -(x0 + x1 a) / x2 for each a, then a = -x1 / x2.
     - x2 == 0, x1 != 0: a = -x0 / x1 with every b, then (0, 0, 1).
     - x = (1, 0, 0): every (0, 1, a), then (0, 0, 1).
 
-    The work and memory are O(n q) for the n = q^2 + q + 1 points, not the
-    n^2 products of the definition.  This is the one check of the plane
-    order for both PG(2,q) hosts: q must be in :data:`PLANE_ORDERS`.
+    The work is O(n q) for the n = q^2 + q + 1 points, not the n^2
+    products of the definition.  This is the one check of the plane order
+    for both PG(2,q) hosts: q must be in :data:`PLANE_ORDERS`, and the
+    check runs at the call, before anything is sized by q.
     """
     if q not in PLANE_ORDERS:
         if q > MAX_PLANE_ORDER:
             raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
         raise ValueError(f"q must be prime, got {q}")
-    import numpy as np
+    inv = [0] + [pow(v, -1, q) for v in range(1, q)]
+    free = range(q)
 
-    x0, x1, x2 = np.array(_pg2_points(q), dtype=np.int64).T
-    inv = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=np.int64)
-    free = np.arange(q, dtype=np.int64)
-    ys = np.empty((len(x0), q + 1), dtype=np.int64)  # row i: the j of point i
-    s = np.flatnonzero(x2)
-    ys[s, :q] = free * q + -(x0[s, None] + x1[s, None] * free) * inv[x2[s], None] % q
-    ys[s, q] = q * q + -x1[s] * inv[x2[s]] % q
-    s = np.flatnonzero((x2 == 0) & (x1 != 0))
-    ys[s, :q] = (-x0[s, None] * inv[x1[s], None] % q) * q + free
-    ys[s, q] = q * q + q
-    s = np.flatnonzero((x2 == 0) & (x1 == 0))
-    ys[s, :q] = q * q + free
-    ys[s, q] = q * q + q
-    return np.repeat(np.arange(len(x0)), q + 1), ys.ravel()
+    def row(x0: int, x1: int, x2: int) -> list[int]:
+        if x2:
+            c = inv[x2]
+            return [a * q + -(x0 + x1 * a) * c % q for a in free] + [q * q + -x1 * c % q]
+        if x1:
+            base = -x0 * inv[x1] % q * q
+            return [base + b for b in free] + [q * q + q]
+        return [q * q + a for a in free] + [q * q + q]
 
-
-def _shared_id_pairs(rows, cols, ids: list[int]) -> list[tuple[int, int]]:
-    """The pairs (ids[i], ids[j]) of the index arrays ``rows`` and ``cols``,
-    in order, converted one run of equal ``rows`` at a time.
-
-    Every endpoint is the one int object ``ids`` holds for its vertex id,
-    shared by the edge tuples and, through :meth:`Graph.from_edges`, the
-    adjacency tuples.  ``tolist()`` on the whole arrays would make one
-    fresh int per endpoint, all alive until the graph is built.
-    """
-    import numpy as np
-
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each run's first entry
-    pairs: list[tuple[int, int]] = []
-    for i, row in zip(rows[starts].tolist(), np.split(cols, starts[1:])):
-        pairs.extend(zip(itertools.repeat(ids[i]), map(ids.__getitem__, row.tolist())))
-    return pairs
+    return itertools.starmap(row, _pg2_points(q))
 
 
 @functools.lru_cache(maxsize=4)
@@ -181,12 +163,14 @@ def polarity_graph(q: int) -> HostGraph:
 
     Vertices are the q^2+q+1 projective points; x ~ y iff x . y == 0 (mod q)
     and x != y.  Degrees are q+1, except q at the q+1 absolute points.  The
-    edges hold one int object per vertex id (see :func:`_shared_id_pairs`).
+    edges hold one int object per vertex id, the one ``ids`` keeps.
     """
     n = q * q + q + 1
-    rows, cols = _pg2_orthogonal_pairs(q)
-    upper = rows < cols
-    graph = Graph.from_edges(n, _shared_id_pairs(rows[upper], cols[upper], list(range(n))))
+    rows = _pg2_orthogonal_rows(q)  # checks q before anything is sized by it
+    ids = list(range(n))
+    graph = Graph.from_edges(
+        n, [(ids[i], ids[j]) for i, row in enumerate(rows) for j in row if i < j]
+    )
     host = certify_host(
         graph,
         ForbiddenFamily.even_cycles_up_to(4),
@@ -209,12 +193,14 @@ def incidence_graph_pg2(q: int) -> HostGraph:
     even:4 family and the exact girth come from the one :func:`certify_host`
     call that every host makes: the graph two-colors, has no C4, and the
     first 6-cycle found fixes the girth at 6.  The edges, and the two
-    parts, hold one int object per vertex id (see :func:`_shared_id_pairs`).
+    parts, hold one int object per vertex id, the one ``ids`` keeps.
     """
     n = q * q + q + 1
-    rows, cols = _pg2_orthogonal_pairs(q)  # checks q before anything is sized by it
+    rows = _pg2_orthogonal_rows(q)  # checks q before anything is sized by it
     ids = list(range(2 * n))
-    graph = Graph.from_edges(2 * n, _shared_id_pairs(rows, cols + n, ids))
+    graph = Graph.from_edges(
+        2 * n, [(ids[i], ids[n + j]) for i, row in enumerate(rows) for j in row]
+    )
     parts = (tuple(ids[:n]), tuple(ids[n:]))
     for v in range(2 * n):
         if graph.degree(v) != q + 1:

@@ -84,6 +84,28 @@ class TestGraphBasics:
             with pytest.raises(CertificationError, match=message):
                 CycleWitness(vertices).validate(g)
 
+    def test_witness_checks_build_no_adjacency_sets(self):
+        # a triangle witness on a graph with a star, and the large C4 path
+        g = Graph.from_edges(60, [(0, i) for i in range(3, 60)] + [(1, 2), (0, 1), (0, 2)])
+        CycleWitness((0, 1, 2)).validate(g)
+        with pytest.raises(CertificationError):
+            CycleWitness((0, 3, 4)).validate(g)
+        assert family_girth(g, ForbiddenFamily("even", 4)) == (3, None)
+        k = Graph.from_edges(300, [(i, 200 + j) for i in range(200) for j in range(100)])
+        find_short_even_cycle(k, 4).validate(k)
+        assert "adjacency_sets" not in g.__dict__ and "adjacency_sets" not in k.__dict__
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(max_n=12))
+    def test_has_edge_matches_bruteforce(self, g):
+        # every u, isolated ones included, against v = -1..n: both row ends
+        # and the ids just past them
+        edges = set(g.edges)
+        for u in range(g.n):
+            for v in range(-1, g.n + 1):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+        assert "adjacency_sets" not in g.__dict__
+
     def test_edges_normalized(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0)])
         assert set(g.edges) == {(0, 2), (1, 3)}

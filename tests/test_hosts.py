@@ -143,8 +143,22 @@ class TestIncidenceGraph:
 class TestOrthogonalPairs:
     @pytest.mark.parametrize("q", [p for p in PLANE_ORDERS if p < 32] + [67])
     def test_closed_form_matches_dot_products(self, q):
-        rows, cols = hosts_mod._pg2_orthogonal_pairs(q)
-        assert (rows.tolist(), cols.tolist()) == brute_orthogonal_pairs(q)
+        rows = list(hosts_mod._pg2_orthogonal_rows(q))
+        flat = [i for i, row in enumerate(rows) for _ in row], [j for row in rows for j in row]
+        assert flat == brute_orthogonal_pairs(q)
+
+    def test_plane_hosts_import_no_numpy(self):
+        # both C4 checks here take the dict path, so nothing needs numpy
+        build = (
+            "import sys\n"
+            "from girthforge.hosts import incidence_graph_pg2, polarity_graph\n"
+            "polarity_graph(23)\n"
+            "incidence_graph_pg2(13)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(girthforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", build], env=env, check=True, timeout=300)
 
 
 class TestIncidenceCertificate:
@@ -169,15 +183,16 @@ class TestIncidenceCertificate:
             assert host.certified_girth == expected
 
     def test_dropped_pair_rejected(self):
-        real = hosts_mod._pg2_orthogonal_pairs
+        real = hosts_mod._pg2_orthogonal_rows
 
         def drop_one(q):
-            rows, cols = real(q)
-            return rows[1:], cols[1:]
+            rows = list(real(q))
+            rows[0] = rows[0][1:]
+            return iter(rows)
 
         incidence_graph_pg2.cache_clear()
         try:
-            with mock.patch.object(hosts_mod, "_pg2_orthogonal_pairs", drop_one):
+            with mock.patch.object(hosts_mod, "_pg2_orthogonal_rows", drop_one):
                 with pytest.raises(CertificationError):
                     incidence_graph_pg2(5)
         finally:
@@ -204,7 +219,7 @@ class TestIncidenceCertificate:
         ).stdout
         code, maxrss_kib = map(int, out.split())  # ru_maxrss is in KiB on Linux
         assert code == 0
-        assert maxrss_kib / 1024 < 120
+        assert maxrss_kib / 1024 < 100
 
 
 class TestGreedyHighGirth:
