@@ -188,7 +188,7 @@ class TestIncidenceCertificate:
         def drop_one(q):
             rows = list(real(q))
             rows[0] = rows[0][1:]
-            return iter(rows)
+            return rows
 
         incidence_graph_pg2.cache_clear()
         try:
