@@ -468,10 +468,11 @@ def _find_c4(g: Graph) -> Optional[CycleWitness]:
     """C4 search by common-neighbor pair counting, O(sum C(d,2)).
 
     A C4 is two vertices with two common neighbors.  Up to a workload of
-    400,000 neighbor pairs a dict returns the first repeated pair met;
-    beyond it :func:`_smallest_shared_pair` returns the smallest such pair
-    in bounded memory, and the witness is that pair with its two smallest
-    common neighbors.
+    400,000 neighbor pairs a dict returns the first repeated pair met; it
+    is slower than the scan on a C4-free graph, but its witnesses are the
+    ones small inputs print.  Beyond it :func:`_smallest_shared_pair`
+    returns the smallest such pair, and the witness is that pair with its
+    two smallest common neighbors.
     """
     workload = sum(d * (d - 1) // 2 for d in g.degrees())
     if workload > 400_000:
@@ -494,19 +495,19 @@ def _find_c4(g: Graph) -> Optional[CycleWitness]:
     return None
 
 
-_PAIR_BLOCK = 1 << 18  # walks listed, and (row, column) slots, per block
+_MASK_BUDGET = 1 << 25  # bytes of neighbor bitsets the scan may hold
 
 
 def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     """Lexicographically smallest pair a < b with two or more common
     neighbors, or None when ``g`` is C4-free.
 
-    Rows a are walked in increasing order, in blocks.  A block lists every
-    walk a - u - b with a < u and a < b (for each edge au with u > a, the
-    part of u's sorted neighbor list after a), so each neighbor pair
-    {a, b} of u is listed at most once, from its smaller end.  A pair
-    listed twice in one block has two common neighbors, and the first
-    block holding one holds the smallest.
+    Rows a are walked in increasing order.  Row a follows every walk
+    a - u - b with a < u and a < b: its middles are the neighbors u > a,
+    and each middle lists the part of its sorted neighbor list after a.
+    A b listed by two middles of one row has two common neighbors with a,
+    so the first row with such a b holds the smallest pair, and its
+    smallest b completes it.
 
     Dropping the walks with u < a loses no answer.  Let (a, b) be the
     smallest shared pair.  If a common neighbor u of it were below a, then
@@ -515,70 +516,47 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     (a, b) exceeds a, and the pair is still listed twice from row a.  On a
     bipartite point-line graph this drops every walk that starts at a line.
 
-    A block ends before it lists more than ``_PAIR_BLOCK`` walks or spans
-    more than ``_PAIR_BLOCK`` (row, column) slots, rows x n, but always
-    holds at least one row.  The answer does not depend on where blocks
-    end, so one budget bounds both.  Rows that list no walk are skipped,
-    so a graph of many isolated or low vertices costs no pass per row.
-    The work is O(n + sum C(d,2)); memory is O(n + m) plus one block, on
-    any input.
-
-    The set-up arrays indexed by adjacency entry (``indices``, ``rank``,
-    ``first``, ``lens``) and by vertex are int32: vertex ids, positions in
-    the adjacency and degrees stay below 2**31 while the 2m adjacency
-    entries do, and ``rank`` is freed once ``first`` and ``lens`` exist.
-    Only the walk prefix sums (``walks``, ``row_walks``) are int64, since
-    the sum of C(d, 2) passes 2**31 on dense graphs.  A block's arrays
-    (``ids``, ``pos``, ``keys`` and the slot table) are intp, numpy's index
-    type, since it casts an index array of any other type as it goes; each
-    holds about ``_PAIR_BLOCK`` entries, 2 MB at 2**18.
+    Each middle u is a Python-int bitset of N(u), built from a bytearray
+    on first use and cached; a row ORs ``seen & mask`` into ``dup`` and
+    ``mask`` into ``seen``, and the lowest bit of ``dup`` above a is b.
+    That is O(m) big-int steps of at most n bits each.  A bitset costs
+    about max(N(u))/8 bytes, so on sparse ids the masks of all middles
+    could pass :data:`_MASK_BUDGET`.  Then each row intersects Python sets
+    of the list tails after a instead, with the same answer, in
+    O(n + sum C(d,2)) and one row's sets of memory.
     """
-    import numpy as np
-
-    n = g.n
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.int32, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(
-        itertools.chain.from_iterable(g.adjacency), dtype=np.int32, count=int(indptr[-1])
-    )
-    # entry p is the edge a -> u = indices[p]; rank[p] is where a sits in
-    # u's neighbor list (entries reach u in increasing a, as rows do)
-    order = np.argsort(indices, kind="stable")
-    rank = np.empty_like(indices)
-    rank[order] = np.arange(indices.size, dtype=np.int32) - indptr[indices[order]]
-    del order
-    first = indptr[indices] + rank + 1  # the first b > a in u's list
-    # walks a - u - b with u < a are dropped: see the docstring
-    lens = deg[indices] - rank - 1
-    del rank
-    lens[indices < np.repeat(np.arange(n, dtype=np.int32), deg)] = 0
-    walks = np.zeros(indices.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=walks[1:])
-    row_walks = walks[indptr]  # walks from rows < a
-    rows_cap = max(1, _PAIR_BLOCK // max(n, 1))
-    # slot[key] holds the index of a walk with that key; only slots written
-    # in the current block are read, so the array is never cleared
-    slot = np.empty(min(rows_cap, n) * n, dtype=np.intp)
-    a0 = 0
-    while a0 < n:
-        a1 = int(np.searchsorted(row_walks, row_walks[a0] + _PAIR_BLOCK, "right")) - 1
-        a1 = min(max(a1, a0 + 1), a0 + rows_cap, n)
-        lo, hi = indptr[a0], indptr[a1]
-        total = int(walks[hi] - walks[lo])
-        if total:
-            ids = np.arange(total)
-            pos = np.repeat(first[lo:hi] - (walks[lo:hi] - walks[lo]), lens[lo:hi])
-            pos += ids
-            keys = np.repeat(np.arange(0, (a1 - a0) * n, n), np.diff(row_walks[a0 : a1 + 1]))
-            keys += indices[pos]  # (a - a0) * n + b
-            slot[keys] = ids
-            repeated = keys[slot[keys] != ids]
-            if repeated.size:
-                key = int(repeated.min())
-                return a0 + key // n, key % n
-        # the next block starts at the next row that lists a walk
-        a0 = int(np.searchsorted(row_walks, row_walks[a1], "right")) - 1
+    adj = g.adjacency
+    # the middles are the vertices with a lower neighbor
+    mask_bytes = sum(row[-1] for u, row in enumerate(adj) if row and row[0] < u) // 8
+    use_masks = mask_bytes <= _MASK_BUDGET
+    masks: dict[int, int] = {}
+    for a, row in enumerate(adj):
+        if len(row) < 2 or row[-2] < a:
+            continue  # fewer than two middles
+        mids = row[bisect.bisect_right(row, a):]
+        if use_masks:
+            seen = dup = 0
+            for u in mids:
+                mask = masks.get(u)
+                if mask is None:
+                    buf = bytearray(adj[u][-1] // 8 + 1)
+                    for b in adj[u]:
+                        buf[b >> 3] |= 1 << (b & 7)
+                    mask = masks[u] = int.from_bytes(buf, "little")
+                dup |= seen & mask
+                seen |= mask
+            dup >>= a + 1
+            if dup:
+                return a, a + (dup & -dup).bit_length()
+        else:
+            seen_set: set[int] = set()
+            dups: set[int] = set()
+            for u in mids:
+                tail = adj[u][bisect.bisect_right(adj[u], a):]
+                dups.update(seen_set.intersection(tail))
+                seen_set.update(tail)
+            if dups:
+                return a, min(dups)
     return None
 
 

@@ -8,8 +8,7 @@ construction aborts if it fails.  The three host constructors are the only
 memoized functions, each by a bounded cache.  The PG(2,q) orders this module
 builds are one table, :data:`PLANE_ORDERS`, and every caller picks its order
 from it through :func:`smallest_prime_with_plane_order`.  Both PG(2,q) hosts
-are built in plain Python from one closed form, :func:`_pg2_orthogonal_rows`;
-numpy serves only the C4 scan of their certificate.
+are built in plain Python from one closed form, :func:`_pg2_orthogonal_rows`.
 """
 
 from __future__ import annotations

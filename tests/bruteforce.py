@@ -223,19 +223,15 @@ def brute_orthogonal_pairs(q: int):
     """Index pairs (i, j) of projective points with x_i . x_j == 0 (mod q),
     in row-major order, from the dot products of every pair of points.
     Points are indexed (1, a, b) -> a q + b, (0, 1, a) -> q^2 + a and
-    (0, 0, 1) -> q^2 + q.  Products are taken in blocks of rows so the
-    n x n matrix is never held whole."""
-    import numpy as np
-
+    (0, 0, 1) -> q^2 + q."""
     pts = [(1, a, b) for a in range(q) for b in range(q)]
     pts += [(0, 1, a) for a in range(q)] + [(0, 0, 1)]
-    pts = np.array(pts, dtype=np.int64)
     rows: list[int] = []
     cols: list[int] = []
-    for start in range(0, len(pts), 512):
-        ii, jj = np.nonzero((pts[start : start + 512] @ pts.T) % q == 0)
-        rows.extend((ii + start).tolist())
-        cols.extend(jj.tolist())
+    for i, (x, y, z) in enumerate(pts):
+        row = [j for j, (u, v, w) in enumerate(pts) if (x * u + y * v + z * w) % q == 0]
+        rows.extend([i] * len(row))
+        cols.extend(row)
     return rows, cols
 
 

@@ -316,3 +316,34 @@ class TestDeterminism:
         _, default = run(capsys, argv)
         _, zero = run(capsys, argv + ["--seed", "0"])
         assert default == zero
+
+
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    # numpy set to None in sys.modules makes any import of it raise; the
+    # incidence host at q = 67 reaches the large-workload C4 scan
+    (tmp_path / "k7.edges").write_text(format_edge_list(complete(7)))
+    (tmp_path / "c5.edges").write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from girthforge.cli import main\n"
+        "runs = [\n"
+        "    (['host', 'build', '--kind', 'incidence', '--q', '67'], 0),\n"
+        "    (['host', 'build', '--kind', 'polarity', '--q', '5'], 0),\n"
+        "    (['host', 'build', '--kind', 'greedy', '--n', '30', '--girth', '5'], 0),\n"
+        "    (['extract', 'edges', '--in', 'k7.edges', '--trials', '1'], 0),\n"
+        "    (['extract', 'degree', '--in', 'k7.edges', '--trials', '1'], 0),\n"
+        "    (['verify', '--in', 'k7.edges', '--family', 'even:4'], 2),\n"
+        "    (['verify', '--in', 'c5.edges', '--family', 'even:4'], 0),\n"
+        "    (['oracle', '--in', 'c5.edges', '--family', 'even:4'], 0),\n"
+        "    (['sweep', '--mode', 'f', '--n', '4:10:2', '--trials', '1'], 0),\n"
+        "]\n"
+        "for argv, code in runs:\n"
+        "    assert main(argv) == code, argv\n"
+    )
+    src = str(Path(girthforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
+        stdout=subprocess.DEVNULL, timeout=300,
+    )

@@ -301,17 +301,22 @@ class TestGirth:
         assert witness.length == cycle_len
 
 
+def shared_pair_both_paths(g):
+    """``_smallest_shared_pair`` on the bitset path and on the set path
+    (a mask budget of 0 bytes)."""
+    found = []
+    for budget in (graph_mod._MASK_BUDGET, 0):
+        with mock.patch.object(graph_mod, "_MASK_BUDGET", budget):
+            found.append(graph_mod._smallest_shared_pair(g))
+    return found
+
+
 class TestSmallestSharedPair:
     @settings(max_examples=200, deadline=None)
-    @given(
-        g=small_graphs(max_n=14),
-        block=st.sampled_from([1, 2, 3, 5, 7, 30, 1 << 20]),
-    )
-    def test_matches_bruteforce(self, g, block):
-        # small block sizes force many blocks, including one-row blocks
-        with mock.patch.object(graph_mod, "_PAIR_BLOCK", block):
-            got = graph_mod._smallest_shared_pair(g)
-        assert got == brute_smallest_shared_pair(g)
+    @given(g=small_graphs(max_n=14))
+    def test_matches_bruteforce(self, g):
+        expected = brute_smallest_shared_pair(g)
+        assert shared_pair_both_paths(g) == [expected, expected]
 
     @pytest.mark.parametrize(
         "n, edges",
@@ -331,28 +336,27 @@ class TestSmallestSharedPair:
         g = Graph.from_edges(n, edges)
         expected = brute_smallest_shared_pair(g)
         assert expected is not None
-        with mock.patch.object(graph_mod, "_PAIR_BLOCK", 1):
-            assert graph_mod._smallest_shared_pair(g) == expected
+        assert shared_pair_both_paths(g) == [expected, expected]
 
     def test_c4_free_host_and_complete_bipartite(self):
-        assert graph_mod._smallest_shared_pair(petersen()) is None
+        assert shared_pair_both_paths(petersen()) == [None, None]
         k = Graph.from_edges(7, [(i, 3 + j) for i in range(3) for j in range(4)])
-        assert graph_mod._smallest_shared_pair(k) == (0, 1)
+        assert shared_pair_both_paths(k) == [(0, 1), (0, 1)]
 
     def test_rows_above_the_block_one_row_at_a_time(self):
-        # n > _PAIR_BLOCK, so every block holds one row; the only C4 is
+        # 2**18 + 5 ids, almost all isolated; the only C4 is
         # n-4 - n-3 - n-2 - n-1 on the four highest ids, below it a path:
         # n-4 and n-2 share n-3 and n-1, and no lower pair shares two
-        n = graph_mod._PAIR_BLOCK + 5
+        n = (1 << 18) + 5
         edges = [(i, i + 1) for i in range(300)] + [(n - 5, n - 4)]
         edges += [(n - 4, n - 3), (n - 3, n - 2), (n - 2, n - 1), (n - 1, n - 4)]
         g = Graph.from_edges(n, edges)
-        assert graph_mod._smallest_shared_pair(g) == (n - 4, n - 2)
+        assert shared_pair_both_paths(g) == [(n - 4, n - 2)] * 2
 
     @pytest.mark.parametrize(
         "n, edges, expected",
         [
-            # K2,6: row 0 lists the six walks 0 - u - 1, all on the pair (0, 1)
+            # K2,6: row 0 has six middles, each listing 1: the pair (0, 1)
             (8, [(a, u) for a in (0, 1) for u in range(2, 8)], (0, 1)),
             # a tree of depth two under 0 (four children, four leaves each),
             # so row 0 lists 16 walks and no pair twice, and the C4
@@ -364,11 +368,9 @@ class TestSmallestSharedPair:
         ids=["repeat-in-first-row", "c4-after-a-long-first-row"],
     )
     def test_first_row_past_the_block(self, n, edges, expected):
-        # a block always holds one row, even one that lists more walks
-        # than _PAIR_BLOCK
+        # the first row either holds the answer or lists no pair twice
         g = Graph.from_edges(n, edges)
-        with mock.patch.object(graph_mod, "_PAIR_BLOCK", 4):
-            assert graph_mod._smallest_shared_pair(g) == expected
+        assert shared_pair_both_paths(g) == [expected, expected]
 
     def test_large_workload_witness(self):
         # sum C(d,2) past the dict path's limit: the witness is the smallest

@@ -147,19 +147,6 @@ class TestOrthogonalPairs:
         flat = [i for i, row in enumerate(rows) for _ in row], [j for row in rows for j in row]
         assert flat == brute_orthogonal_pairs(q)
 
-    def test_plane_hosts_import_no_numpy(self):
-        # both C4 checks here take the dict path, so nothing needs numpy
-        build = (
-            "import sys\n"
-            "from girthforge.hosts import incidence_graph_pg2, polarity_graph\n"
-            "polarity_graph(23)\n"
-            "incidence_graph_pg2(13)\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        )
-        src = str(Path(girthforge.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c", build], env=env, check=True, timeout=300)
-
 
 class TestIncidenceCertificate:
     @pytest.mark.parametrize(
@@ -219,7 +206,7 @@ class TestIncidenceCertificate:
         ).stdout
         code, maxrss_kib = map(int, out.split())  # ru_maxrss is in KiB on Linux
         assert code == 0
-        assert maxrss_kib / 1024 < 100
+        assert maxrss_kib / 1024 < 70
 
 
 class TestGreedyHighGirth:
