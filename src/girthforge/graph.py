@@ -1,6 +1,9 @@
 """Immutable simple-graph core: construction, girth, short-cycle certification.
 
-Every other module builds on :class:`Graph`.  :func:`family_girth` is the
+Every other module builds on :class:`Graph`.  A graph is filled from an
+edge list by :func:`_assemble` (:meth:`Graph.from_edges`,
+:func:`parse_edge_list`) or, for the PG(2,q) hosts, from sorted upper rows
+by :meth:`Graph._from_upper_rows`.  :func:`family_girth` is the
 one search behind every certificate: it tells whether a graph is free of
 a forbidden family, with its exact girth when it is and a witness when it
 is not.  :func:`certify` is its raising form, the certification step for
@@ -24,6 +27,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
@@ -83,6 +87,37 @@ class Graph:
             valid = False
         return _assemble(n, norm if valid else _scan_edges(n, edges))
 
+    @staticmethod
+    def _from_upper_rows(ids: list[int], upper: Iterable[Sequence[int]]) -> "Graph":
+        """Graph on ``0..n-1`` from its upper rows: ``upper[u]`` lists the
+        neighbors v > u of u in increasing order, one row per vertex.
+
+        ``ids`` is ``list(range(n))``, and every endpoint of id v in the
+        graph is the int object ``ids[v]``, which a caller may share.
+        Raises ValueError unless there are n rows and each is strictly
+        increasing within ``u+1..n-1``, an O(m) check made by C-level
+        comparisons.  The rows may come lazily.  One transposition gives the
+        lower rows, and the edges come out in lexicographic order, with no
+        set, sort or pair list.
+        """
+        n = len(ids)
+        lower: list[list[int]] = [[] for _ in ids]
+        rows: list[list[int]] = []
+        for u, row in zip(ids, upper, strict=True):
+            if row and not (
+                u < row[0] and row[-1] < n and all(map(operator.lt, row, row[1:]))
+            ):
+                raise ValueError(f"upper row {u} is not increasing within {u + 1}..{n - 1}")
+            row = list(map(ids.__getitem__, row))
+            for v in row:
+                lower[v].append(u)
+            rows.append(row)
+        # straight into the tuple: no list of all the edges beside it
+        pairs = map(zip, map(itertools.repeat, ids), rows)
+        edges = tuple(itertools.chain.from_iterable(pairs))
+        adjacency = tuple(map(tuple, map(operator.add, lower, rows)))
+        return Graph(n=n, edges=edges, adjacency=adjacency)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -115,7 +150,8 @@ class Graph:
 
 def _assemble(n: int, pairs: list[tuple[int, int]]) -> Graph:
     """The graph on ``0..n-1`` with the checked ``pairs`` (distinct, each
-    ``0 <= u < v < n``) as its edges in order: the one adjacency fill."""
+    ``0 <= u < v < n``) as its edges in order: the adjacency fill of
+    :meth:`Graph.from_edges` and :func:`parse_edge_list`."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
@@ -294,17 +330,20 @@ def _two_coloring(g: Graph) -> Optional[tuple[set, int]]:
     """``(even, components)`` when ``g`` is bipartite, else None.
 
     ``even`` holds the vertices at an even distance from the smallest vertex
-    of their component.  A level-synchronous BFS runs from the smallest
-    unseen vertex, with one set union per level for all its neighbors.  An
-    edge inside a level (the union meets the level) closes an odd cycle;
-    otherwise every edge joins consecutive levels, and level parity is a
-    proper two-coloring.  O(n + m).
+    of their component.  A level-synchronous BFS runs from each unseen
+    vertex with a neighbor, with one set union per level for all its
+    neighbors.  An edge inside a level (the union meets the level) closes
+    an odd cycle; otherwise every edge joins consecutive levels, and level
+    parity is a proper two-coloring.  An isolated vertex is a component of
+    its own, at distance 0 from itself: once no odd cycle is found, all of
+    them join ``even`` in bulk, so a graph of sparse ids costs no Python
+    step per unused id.  O(n + m).
     """
     adj = g.adjacency
     seen: set[int] = set()
     even: set[int] = set()
     components = 0
-    for s in range(g.n):
+    for s in itertools.compress(range(g.n), adj):
         if s in seen:
             continue
         components += 1
@@ -318,7 +357,9 @@ def _two_coloring(g: Graph) -> Optional[tuple[set, int]]:
                 return None
             level = reach - seen
             parity ^= 1
-    return even, components
+    reached = len(even)
+    even.update(itertools.compress(range(g.n), map(operator.not_, adj)))
+    return even, components + len(even) - reached
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +558,19 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     bipartite point-line graph this drops every walk that starts at a line.
 
     Each middle u is a Python-int bitset of N(u), built from a bytearray
-    on first use and cached; a row ORs ``seen & mask`` into ``dup`` and
-    ``mask`` into ``seen``, and the lowest bit of ``dup`` above a is b.
+    on first use and cached.  Most rows are cleared by one OR per middle:
+    the middles all hold bit a, so the popcount of their OR is
+    sum(deg(u)) - (k - 1) for k middles exactly when no other bit is held
+    twice.  Otherwise the row runs ``dup |= seen & mask``,
+    ``seen |= mask`` over its middles, and the lowest bit of ``dup`` above
+    a is b.  Only the first row with a shared pair gets there: a bit b < a
+    held twice would make (b, a) a shared pair, found at an earlier row.
     That is O(m) big-int steps of at most n bits each.  A bitset costs
     about max(N(u))/8 bytes, so on sparse ids the masks of all middles
-    could pass :data:`_MASK_BUDGET`.  Then each row intersects Python sets
-    of the list tails after a instead, with the same answer, in
+    could pass :data:`_MASK_BUDGET`.  Then each row takes the list tails
+    after a instead: their union is as large as their total length exactly
+    when no b is listed twice, and only a row where it is smaller
+    intersects Python sets of the tails.  The answer is the same, in
     O(n + sum C(d,2)) and one row's sets of memory.
     """
     adj = g.adjacency
@@ -530,33 +578,39 @@ def _smallest_shared_pair(g: Graph) -> Optional[tuple[int, int]]:
     mask_bytes = sum(row[-1] for u, row in enumerate(adj) if row and row[0] < u) // 8
     use_masks = mask_bytes <= _MASK_BUDGET
     masks: dict[int, int] = {}
+    degree: dict[int, int] = {}  # of each middle with a mask
     for a, row in enumerate(adj):
         if len(row) < 2 or row[-2] < a:
             continue  # fewer than two middles
         mids = row[bisect.bisect_right(row, a):]
         if use_masks:
+            for u in itertools.filterfalse(masks.__contains__, mids):
+                buf = bytearray(adj[u][-1] // 8 + 1)
+                for b in adj[u]:
+                    buf[b >> 3] |= 1 << (b & 7)
+                masks[u] = int.from_bytes(buf, "little")
+                degree[u] = len(adj[u])
+            bits = list(map(masks.__getitem__, mids))
+            union = functools.reduce(operator.or_, bits)
+            if union.bit_count() == sum(map(degree.__getitem__, mids)) - len(mids) + 1:
+                continue
             seen = dup = 0
-            for u in mids:
-                mask = masks.get(u)
-                if mask is None:
-                    buf = bytearray(adj[u][-1] // 8 + 1)
-                    for b in adj[u]:
-                        buf[b >> 3] |= 1 << (b & 7)
-                    mask = masks[u] = int.from_bytes(buf, "little")
+            for mask in bits:
                 dup |= seen & mask
                 seen |= mask
             dup >>= a + 1
             if dup:
                 return a, a + (dup & -dup).bit_length()
         else:
+            tails = [adj[u][bisect.bisect_right(adj[u], a):] for u in mids]
+            if len(set().union(*tails)) == sum(map(len, tails)):
+                continue
             seen_set: set[int] = set()
             dups: set[int] = set()
-            for u in mids:
-                tail = adj[u][bisect.bisect_right(adj[u], a):]
+            for tail in tails:
                 dups.update(seen_set.intersection(tail))
                 seen_set.update(tail)
-            if dups:
-                return a, min(dups)
+            return a, min(dups)
     return None
 
 

@@ -8,14 +8,20 @@ construction aborts if it fails.  The three host constructors are the only
 memoized functions, each by a bounded cache.  The PG(2,q) orders this module
 builds are one table, :data:`PLANE_ORDERS`, and every caller picks its order
 from it through :func:`smallest_prime_with_plane_order`.  Both PG(2,q) hosts
-are built in plain Python from one closed form, :func:`_pg2_orthogonal_rows`.
+are built in plain Python from one closed form, :func:`_pg2_orthogonal_rows`,
+whose sorted rows :meth:`graph.Graph._from_upper_rows` assembles with no
+set, sort or pair list, while the cyclic garbage collector is paused.
 """
 
 from __future__ import annotations
 
 import array
+import bisect
+import contextlib
 import functools
+import gc
 import itertools
+import operator
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
@@ -128,47 +134,76 @@ def _pg2_orthogonal_rows(q: int) -> Iterator[list[int]]:
     y = (1, a, b) (index a q + b), then the y = (0, 1, a) (q^2 + a) or
     (0, 0, 1) (q^2 + q).  By the form of x:
 
-    - x2 != 0: b = -(x0 + x1 a) / x2 for each a, then a = -x1 / x2.
+    - x2 != 0: b = s + t a (mod q) for each a, with s = -x0 / x2 and
+      t = -x1 / x2, then a = t.  For t != 0 the b's are the progression
+      t a rotated by s / t places, one slice of a table; for t == 0 they
+      are all s.
     - x2 == 0, x1 != 0: a = -x0 / x1 with every b, then (0, 0, 1).
     - x = (1, 0, 0): every (0, 1, a), then (0, 0, 1).
 
-    The work is O(n q) for the n = q^2 + q + 1 points, not the n^2
-    products of the definition.  This is the one check of the plane order
-    for both PG(2,q) hosts: q must be in :data:`PLANE_ORDERS`, and the
-    check runs at the call, before anything is sized by q.
+    Each row is a few list operations, O(q), for the n = q^2 + q + 1
+    points, not the n^2 products of the definition.  This is the one check
+    of the plane order for both PG(2,q) hosts: q must be in
+    :data:`PLANE_ORDERS`, and the check runs at the call, before anything
+    is sized by q.
     """
     if q not in PLANE_ORDERS:
         if q > MAX_PLANE_ORDER:
             raise ValueError(f"q outside the supported range 2..{MAX_PLANE_ORDER}")
         raise ValueError(f"q must be prime, got {q}")
     inv = [0] + [pow(v, -1, q) for v in range(1, q)]
-    free = range(q)
+    # progression[t][k:k + q] lists t (a + k) mod q for a = 0..q-1
+    progression = [[t * a % q for a in range(q)] * 2 for t in range(q)]
+    square = q * q  # the index of (0, 1, 0)
+    starts = range(0, square, q)  # a q for each a
 
     def row(x0: int, x1: int, x2: int) -> list[int]:
         if x2:
             c = inv[x2]
-            return [a * q + -(x0 + x1 * a) * c % q for a in free] + [q * q + -x1 * c % q]
+            s, t = -x0 * c % q, -x1 * c % q
+            if not t:
+                return [*range(s, square, q), square]
+            k = s * inv[t] % q
+            return [*map(operator.add, starts, progression[t][k:k + q]), square + t]
         if x1:
             base = -x0 * inv[x1] % q * q
-            return [base + b for b in free] + [q * q + q]
-        return [q * q + a for a in free] + [q * q + q]
+            return [*range(base, base + q), square + q]
+        return list(range(square, square + q + 1))
 
     return itertools.starmap(row, _pg2_points(q))
 
 
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's state.
+
+    A PG(2,q) build allocates up to a million edge tuples of ints, which
+    can be in no reference cycle, and the collector would walk them again
+    and again as they pile up.  Used as a decorator on both PG(2,q) hosts.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @functools.lru_cache(maxsize=4)
+@_gc_paused()
 def polarity_graph(q: int) -> HostGraph:
     """C4-free polarity graph of the projective plane of order q.
 
     Vertices are the q^2+q+1 projective points; x ~ y iff x . y == 0 (mod q)
     and x != y.  Degrees are q+1, except q at the q+1 absolute points.  The
-    edges hold one int object per vertex id, the one ``ids`` keeps.
+    graph is assembled from each point's orthogonal indices above its own
+    (:meth:`Graph._from_upper_rows`), with one int object per vertex id.
     """
     n = q * q + q + 1
     rows = _pg2_orthogonal_rows(q)  # checks q before anything is sized by it
-    ids = list(range(n))
-    graph = Graph.from_edges(
-        n, [(ids[i], ids[j]) for i, row in enumerate(rows) for j in row if i < j]
+    graph = Graph._from_upper_rows(
+        list(range(n)), (row[bisect.bisect_right(row, i):] for i, row in enumerate(rows))
     )
     host = certify_host(
         graph,
@@ -184,23 +219,26 @@ def polarity_graph(q: int) -> HostGraph:
 
 
 @functools.lru_cache(maxsize=4)
+@_gc_paused()
 def incidence_graph_pg2(q: int) -> HostGraph:
     """Point-line incidence graph of PG(2,q): bipartite, (q+1)-regular, girth 6.
 
     Point i is joined to line n + j (n = q^2+q+1, lines dual to points)
-    when x_i . x_j == 0 (mod q).  The regularity is checked here, and the
-    even:4 family and the exact girth come from the one :func:`certify_host`
-    call that every host makes: the graph two-colors, has no C4, and the
-    first 6-cycle found fixes the girth at 6.  The edges, and the two
-    parts, hold one int object per vertex id, the one ``ids`` keeps.
+    when x_i . x_j == 0 (mod q): a point's row, shifted by n, is its upper
+    row for :meth:`Graph._from_upper_rows`, and a line has none.  The
+    regularity is checked here, and the even:4 family and the exact girth
+    come from the one :func:`certify_host` call that every host makes: the
+    graph two-colors, has no C4, and the first 6-cycle found fixes the
+    girth at 6.  The edges and the two parts hold one int object per
+    vertex id, the one ``ids`` keeps.
     """
     n = q * q + q + 1
     rows = _pg2_orthogonal_rows(q)  # checks q before anything is sized by it
     ids = list(range(2 * n))
-    graph = Graph.from_edges(
-        2 * n, [(ids[i], ids[n + j]) for i, row in enumerate(rows) for j in row]
-    )
-    parts = (tuple(ids[:n]), tuple(ids[n:]))
+    lines = ids[n:]  # line j is vertex n + j
+    upper = (list(map(lines.__getitem__, row)) for row in rows)
+    graph = Graph._from_upper_rows(ids, itertools.chain(upper, [[]] * n))
+    parts = (tuple(ids[:n]), tuple(lines))
     for v in range(2 * n):
         if graph.degree(v) != q + 1:
             raise CertificationError(f"incidence(q={q}): vertex {v} not (q+1)-regular")

@@ -235,6 +235,40 @@ def brute_orthogonal_pairs(q: int):
     return rows, cols
 
 
+def reference_plane_graphs(q: int) -> tuple[Graph, Graph]:
+    """The polarity graph and the point-line incidence graph of PG(2,q),
+    each built by :meth:`Graph.from_edges` from the pairs of
+    :func:`brute_orthogonal_pairs`: i ~ j for i < j, and point i ~ line
+    n + j (n = q^2 + q + 1)."""
+    n = q * q + q + 1
+    pairs = list(zip(*brute_orthogonal_pairs(q)))
+    polarity = Graph.from_edges(n, [(i, j) for i, j in pairs if i < j])
+    incidence = Graph.from_edges(2 * n, [(i, n + j) for i, j in pairs])
+    return polarity, incidence
+
+
+def reference_two_coloring(g: Graph):
+    """``(even, components)`` as :func:`graph._two_coloring` defines them,
+    from a plain BFS out of the smallest unvisited vertex of each
+    component; None when an edge joins two vertices of one parity."""
+    dist: dict[int, int] = {}
+    components = 0
+    for s in range(g.n):
+        if s in dist:
+            continue
+        components += 1
+        dist[s] = 0
+        queue = [s]
+        for x in queue:
+            for y in g.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+    if any(dist[u] % 2 == dist[v] % 2 for u, v in g.edges):
+        return None
+    return {v for v in range(g.n) if dist[v] % 2 == 0}, components
+
+
 def reference_from_edges(n: int, edges) -> Graph:
     """Graph construction one edge at a time, raising ValueError at the
     first self-loop, out-of-range endpoint or parallel edge in input

@@ -43,6 +43,7 @@ from bruteforce import (
     has_forbidden,
     reference_even_cycle_meet_in_middle,
     reference_from_edges,
+    reference_two_coloring,
 )
 from conftest import bipartite_graphs, heawood, small_graphs
 
@@ -184,6 +185,38 @@ class TestFromEdges:
         assert g.edges == ((0, 1), (1, 2)) and g.edges[0] is edges[0]
 
 
+class TestFromUpperRows:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(max_n=12), lazy=st.booleans())
+    def test_matches_from_edges(self, g, lazy):
+        upper = [[v for v in row if v > u] for u, row in enumerate(g.adjacency)]
+        built = Graph._from_upper_rows(list(range(g.n)), iter(upper) if lazy else upper)
+        assert built == Graph.from_edges(g.n, sorted(g.edges))
+        assert list(built.edges) == sorted(built.edges)
+
+    @pytest.mark.parametrize(
+        "upper",
+        [[[2, 1], [], []], [[1, 1], [], []], [[], [1], []], [[], [2], [0]], [[1, 3], [], []]],
+        ids=["unsorted", "repeated", "equal-to-u", "below-u", "at-n"],
+    )
+    def test_rejects_a_bad_row(self, upper):
+        with pytest.raises(ValueError, match=r"upper row \d is not increasing within"):
+            Graph._from_upper_rows([0, 1, 2], upper)
+
+    @pytest.mark.parametrize("upper", [[[1], []], [[1], [], [], []]])
+    def test_rejects_a_wrong_row_count(self, upper):
+        with pytest.raises(ValueError):
+            Graph._from_upper_rows([0, 1, 2], upper)
+
+    def test_one_int_object_per_vertex_id(self):
+        # rows of fresh ints above 256, which the interpreter does not cache
+        n = 700
+        upper = ([v for v in range(u + 1, n) if (u + v) % 97 == 0] for u in range(n))
+        g = Graph._from_upper_rows(list(range(n)), upper)
+        endpoints = [v for e in g.edges for v in e] + [v for a in g.adjacency for v in a]
+        assert len({id(v) for v in endpoints}) == len(set(endpoints))
+
+
 class TestInfiniteSentinel:
     def test_comparisons(self):
         assert INFINITE > 10**9
@@ -311,6 +344,22 @@ def shared_pair_both_paths(g):
     return found
 
 
+@st.composite
+def graphs_with_a_late_c4(draw):
+    """A random tree on 0..n-1, up to two random extra edges, and a C4 on
+    four vertices of the top half: the rows before its smallest pair are
+    cleared by the one-OR count, unless an extra edge closed an earlier
+    C4."""
+    n = draw(st.integers(min_value=8, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    a, b, c, d = rng.sample(range(n // 2, n), 4)
+    edges |= {(min(e), max(e)) for e in ((a, b), (b, c), (c, d), (d, a))}
+    return Graph.from_edges(n, sorted(edges))
+
+
 class TestSmallestSharedPair:
     @settings(max_examples=200, deadline=None)
     @given(g=small_graphs(max_n=14))
@@ -370,6 +419,13 @@ class TestSmallestSharedPair:
     def test_first_row_past_the_block(self, n, edges, expected):
         # the first row either holds the answer or lists no pair twice
         g = Graph.from_edges(n, edges)
+        assert shared_pair_both_paths(g) == [expected, expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs_with_a_late_c4())
+    def test_c4_planted_late(self, g):
+        expected = brute_smallest_shared_pair(g)
+        assert expected is not None
         assert shared_pair_both_paths(g) == [expected, expected]
 
     def test_large_workload_witness(self):
@@ -747,6 +803,19 @@ class TestSubgraphs:
                 check_parts(k22, parts)
         with pytest.raises(ValueError, match="graph is not bipartite with the given parts"):
             check_parts(k22, ((0, 2), (1, 3)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=st.one_of(small_graphs(max_n=10), bipartite_graphs()),
+        spread=st.integers(min_value=1, max_value=4),
+    )
+    def test_two_coloring_with_isolated_ids(self, g, spread):
+        # every id times spread: the ids between, and any isolated vertex
+        # of g, take the bulk step
+        sparse = Graph.from_edges(
+            g.n * spread, [(u * spread, v * spread) for u, v in g.edges]
+        )
+        assert graph_mod._two_coloring(sparse) == reference_two_coloring(sparse)
 
     def test_bipartition(self):
         assert bipartition(cycle_graph(5)) is None

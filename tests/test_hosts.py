@@ -1,3 +1,4 @@
+import gc
 import importlib
 import os
 import pkgutil
@@ -46,6 +47,7 @@ from bruteforce import (
     projective_degree_counts,
     reference_bipartite_trim,
     reference_greedy_high_girth,
+    reference_plane_graphs,
 )
 from conftest import bipartite_graphs
 
@@ -140,6 +142,61 @@ class TestIncidenceGraph:
         assert all((u in sa) != (v in sa) for u, v in host.graph.edges)
 
 
+class TestPlaneHostsRebuild:
+    @pytest.mark.parametrize("q", [p for p in PLANE_ORDERS if p <= 31])
+    def test_same_host_as_from_edges(self, q):
+        # edges, adjacency, parts, label and certified girth all match a
+        # host whose graph Graph.from_edges built from dot products
+        polarity, incidence = reference_plane_graphs(q)
+        fam = ForbiddenFamily("even", 4)
+        n = q * q + q + 1
+        parts = (tuple(range(n)), tuple(range(n, 2 * n)))
+        assert polarity_graph(q) == hosts_mod.certify_host(polarity, fam, f"polarity(q={q})")
+        assert incidence_graph_pg2(q) == hosts_mod.certify_host(
+            incidence, fam, f"incidence_pg2(q={q})", parts=parts
+        )
+
+    def test_incidence_parts_share_the_graph_ints(self):
+        g, parts = incidence_graph_pg2(23).graph, incidence_graph_pg2(23).parts
+        endpoints = {id(v) for e in g.edges for v in e}
+        assert {id(v) for part in parts for v in part} == endpoints
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("build", [polarity_graph, incidence_graph_pg2])
+    def test_caller_state_restored(self, build, enabled):
+        # paused while the host is built and certified, restored after a
+        # build and after a build that raises
+        inside = []
+        real = hosts_mod.certify_host
+
+        def spy(*args, **kwargs):
+            inside.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        was = gc.isenabled()
+        build.cache_clear()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            with mock.patch.object(hosts_mod, "certify_host", spy):
+                build(5)
+                assert gc.isenabled() is enabled
+                with pytest.raises(ValueError, match="q must be prime"):
+                    build(4)
+                assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
+            build.cache_clear()
+        assert inside == [False]
+
+
 class TestOrthogonalPairs:
     @pytest.mark.parametrize("q", [p for p in PLANE_ORDERS if p < 32] + [67])
     def test_closed_form_matches_dot_products(self, q):
@@ -206,7 +263,7 @@ class TestIncidenceCertificate:
         ).stdout
         code, maxrss_kib = map(int, out.split())  # ru_maxrss is in KiB on Linux
         assert code == 0
-        assert maxrss_kib / 1024 < 70
+        assert maxrss_kib / 1024 < 57
 
 
 class TestGreedyHighGirth:
