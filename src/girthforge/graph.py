@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -53,18 +53,53 @@ def girth_json(value: float):
     return "Infinite" if value == INFINITE else value
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
-    ``edges`` holds unordered pairs normalized to ``u < v``; ``adjacency``
-    holds one sorted neighbor tuple per vertex.  No self-loops, no parallel
-    edges.  Instances are safe to share across concurrent readers.
+    ``adjacency`` holds one sorted neighbor tuple per vertex, and ``m``
+    the edge count, counted once when the graph is built.  ``edges`` holds
+    the unordered pairs normalized to ``u < v``.  A graph built from an edge
+    list (:meth:`from_edges`, :func:`parse_edge_list`) stores them in input
+    order.  A graph built from sorted rows (:meth:`_from_upper_rows`)
+    stores none: ``edges`` is built on first read, in lexicographic order,
+    from the upper part of each adjacency row, and cached.  Two graphs are
+    equal when their n, adjacency and edges are.  No self-loops, no
+    parallel edges.  Instances are safe to share across concurrent readers.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
+    m: int
+
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        adjacency: tuple[tuple[int, ...], ...],
+    ) -> None:
+        vars(self).update(n=n, edges=edges, adjacency=adjacency, m=len(edges))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.adjacency == other.adjacency
+            and self.edges == other.edges
+        )
+
+    def __hash__(self) -> int:
+        # equal graphs have equal adjacency: no edge tuple is built
+        return hash((self.n, self.adjacency))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, adjacency={self.adjacency!r})"
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -97,8 +132,8 @@ class Graph:
         Raises ValueError unless there are n rows and each is strictly
         increasing within ``u+1..n-1``, an O(m) check made by C-level
         comparisons.  The rows may come lazily.  One transposition gives the
-        lower rows, and the edges come out in lexicographic order, with no
-        set, sort or pair list.
+        lower rows, with no set, sort or pair list, and no edge tuple is
+        built: :attr:`edges` builds it on first read.
         """
         n = len(ids)
         lower: list[list[int]] = [[] for _ in ids]
@@ -112,15 +147,27 @@ class Graph:
             for v in row:
                 lower[v].append(u)
             rows.append(row)
-        # straight into the tuple: no list of all the edges beside it
-        pairs = map(zip, map(itertools.repeat, ids), rows)
-        edges = tuple(itertools.chain.from_iterable(pairs))
-        adjacency = tuple(map(tuple, map(operator.add, lower, rows)))
-        return Graph(n=n, edges=edges, adjacency=adjacency)
+        graph = object.__new__(Graph)
+        vars(graph).update(
+            n=n,
+            adjacency=tuple(map(tuple, map(operator.add, lower, rows))),
+            m=sum(map(len, rows)),
+            _ids=ids,
+        )
+        return graph
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges of a sorted-row graph, built on first read: row u's
+        neighbors above u, paired with u, row after row (every other graph
+        stores its ``edges``, which this never replaces).  Each endpoint is
+        the adjacency rows' own int object for its id, and the pairs go
+        straight into the tuple, with no list of all the edges beside it."""
+        ids, adjacency = self._ids, self.adjacency
+        starts = map(bisect.bisect_right, adjacency, ids)
+        uppers = map(itertools.islice, adjacency, starts, itertools.repeat(None))
+        pairs = map(zip, map(itertools.repeat, ids), uppers)
+        return tuple(itertools.chain.from_iterable(pairs))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

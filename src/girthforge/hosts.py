@@ -10,16 +10,14 @@ builds are one table, :data:`PLANE_ORDERS`, and every caller picks its order
 from it through :func:`smallest_prime_with_plane_order`.  Both PG(2,q) hosts
 are built in plain Python from one closed form, :func:`_pg2_orthogonal_rows`,
 whose sorted rows :meth:`graph.Graph._from_upper_rows` assembles with no
-set, sort or pair list, while the cyclic garbage collector is paused.
+set, sort or pair list.
 """
 
 from __future__ import annotations
 
 import array
 import bisect
-import contextlib
 import functools
-import gc
 import itertools
 import operator
 import random
@@ -173,25 +171,7 @@ def _pg2_orthogonal_rows(q: int) -> Iterator[list[int]]:
     return itertools.starmap(row, _pg2_points(q))
 
 
-@contextlib.contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, then restore the caller's state.
-
-    A PG(2,q) build allocates up to a million edge tuples of ints, which
-    can be in no reference cycle, and the collector would walk them again
-    and again as they pile up.  Used as a decorator on both PG(2,q) hosts.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 @functools.lru_cache(maxsize=4)
-@_gc_paused()
 def polarity_graph(q: int) -> HostGraph:
     """C4-free polarity graph of the projective plane of order q.
 
@@ -219,7 +199,6 @@ def polarity_graph(q: int) -> HostGraph:
 
 
 @functools.lru_cache(maxsize=4)
-@_gc_paused()
 def incidence_graph_pg2(q: int) -> HostGraph:
     """Point-line incidence graph of PG(2,q): bipartite, (q+1)-regular, girth 6.
 

@@ -470,6 +470,23 @@ class TestExtractor:
         assert report.extras["degraded_trials"] == degraded
         assert (degraded == trials) == all_capped
 
+    def test_host_edge_tuple_never_built(self, monkeypatch):
+        # the r = 2 path reads the plane host's adjacency and m, never its
+        # edges, so a freshly built host ends the run with none
+        hosts = []
+
+        def recording(q):
+            hosts.append(incidence_graph_pg2(q))
+            return hosts[-1]
+
+        monkeypatch.setattr(degree_mod, "incidence_graph_pg2", recording)
+        incidence_graph_pg2.cache_clear()
+        try:
+            extract_spanning_high_girth(random_gnm(25, 50, 1), 2, 5, 2)
+        finally:
+            incidence_graph_pg2.cache_clear()
+        assert hosts and all("edges" not in vars(host.graph) for host in hosts)
+
     def test_rejects_bad_params(self):
         g = complete(5)
         with pytest.raises(ValueError):

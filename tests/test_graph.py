@@ -191,7 +191,10 @@ class TestFromUpperRows:
     def test_matches_from_edges(self, g, lazy):
         upper = [[v for v in row if v > u] for u, row in enumerate(g.adjacency)]
         built = Graph._from_upper_rows(list(range(g.n)), iter(upper) if lazy else upper)
-        assert built == Graph.from_edges(g.n, sorted(g.edges))
+        reference = Graph.from_edges(g.n, sorted(g.edges))
+        assert "edges" not in vars(built) and built.m == reference.m
+        assert built.edges == reference.edges
+        assert built == reference
         assert list(built.edges) == sorted(built.edges)
 
     @pytest.mark.parametrize(
