@@ -2,8 +2,10 @@
 
 Every other module builds on :class:`Graph`.  A graph is filled from an
 edge list by :func:`_assemble` (:meth:`Graph.from_edges`,
-:func:`parse_edge_list`) or, for the PG(2,q) hosts, from sorted upper rows
-by :meth:`Graph._from_upper_rows`.  :func:`family_girth` is the
+:func:`parse_edge_list`), and stores those edges in input order, or, for
+the PG(2,q) hosts, from sorted upper rows by :meth:`Graph._from_upper_rows`,
+and builds its edge tuple from the adjacency rows only when it is first
+read.  :func:`family_girth` is the
 one search behind every certificate: it tells whether a graph is free of
 a forbidden family, with its exact girth when it is and a witness when it
 is not.  :func:`certify` is its raising form, the certification step for
@@ -70,6 +72,7 @@ class Graph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     m: int
+    edges: tuple[tuple[int, int], ...]
 
     def __init__(
         self,
@@ -77,7 +80,12 @@ class Graph:
         edges: tuple[tuple[int, int], ...],
         adjacency: tuple[tuple[int, ...], ...],
     ) -> None:
-        vars(self).update(n=n, edges=edges, adjacency=adjacency, m=len(edges))
+        # set one by one, as a frozen dataclass does: the instance keeps its
+        # attributes inline, which the interpreter reads fastest
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "m", len(edges))
+        object.__setattr__(self, "edges", edges)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -147,27 +155,8 @@ class Graph:
             for v in row:
                 lower[v].append(u)
             rows.append(row)
-        graph = object.__new__(Graph)
-        vars(graph).update(
-            n=n,
-            adjacency=tuple(map(tuple, map(operator.add, lower, rows))),
-            m=sum(map(len, rows)),
-            _ids=ids,
-        )
-        return graph
-
-    @functools.cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges of a sorted-row graph, built on first read: row u's
-        neighbors above u, paired with u, row after row (every other graph
-        stores its ``edges``, which this never replaces).  Each endpoint is
-        the adjacency rows' own int object for its id, and the pairs go
-        straight into the tuple, with no list of all the edges beside it."""
-        ids, adjacency = self._ids, self.adjacency
-        starts = map(bisect.bisect_right, adjacency, ids)
-        uppers = map(itertools.islice, adjacency, starts, itertools.repeat(None))
-        pairs = map(zip, map(itertools.repeat, ids), uppers)
-        return tuple(itertools.chain.from_iterable(pairs))
+        adjacency = tuple(map(tuple, map(operator.add, lower, rows)))
+        return _SortedRowGraph(ids, adjacency, sum(map(len, rows)))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -193,6 +182,34 @@ class Graph:
         row = self.adjacency[u]
         i = bisect.bisect_left(row, v)
         return i < len(row) and row[i] == v
+
+
+class _SortedRowGraph(Graph):
+    """A graph from :meth:`Graph._from_upper_rows`, which stores no edge
+    tuple.  Only this class has a class attribute ``edges``; on
+    :class:`Graph` it is a plain instance attribute, which the interpreter
+    reads faster than one that a class attribute of the same name shadows.
+    """
+
+    def __init__(
+        self, ids: list[int], adjacency: tuple[tuple[int, ...], ...], m: int
+    ) -> None:
+        object.__setattr__(self, "n", len(ids))
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_ids", ids)
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Built on first read: row u's neighbors above u, paired with u,
+        row after row.  Each endpoint is the adjacency rows' own int object
+        for its id, and the pairs go straight into the tuple, with no list
+        of all the edges beside it."""
+        ids, adjacency = self._ids, self.adjacency
+        starts = map(bisect.bisect_right, adjacency, ids)
+        uppers = map(itertools.islice, adjacency, starts, itertools.repeat(None))
+        pairs = map(zip, map(itertools.repeat, ids), uppers)
+        return tuple(itertools.chain.from_iterable(pairs))
 
 
 def _assemble(n: int, pairs: list[tuple[int, int]]) -> Graph:
