@@ -11,6 +11,7 @@ by edges, never loses to the trivial answer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter, deque
@@ -315,21 +316,41 @@ def greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int) -> Graph:
     """Maximal family-free subgraph from one seeded pass over the edges.
 
     Keeps an edge iff it closes no forbidden cycle with the edges already
-    kept (:func:`graph.closes_forbidden_cycle`, which answers C4 and C6
-    with set operations on ``adj``, one neighbor set per vertex).
-    Maximality makes this the strongest deterministic fallback on dense
-    inputs.
+    kept (:func:`graph.closes_forbidden_cycle`).  ``adj`` holds the kept
+    graph's neighbor sets, and for ``even:4`` and ``even:6`` ``reach2``
+    its two-step sets (``reach2[x]`` is the union of N(y) over y in N(x)),
+    which that test reads to answer C4 and C6 with set operations.  Edges
+    are only ever added, so keeping uv adds v to ``reach2[a]`` for each a
+    already in N(u), u to ``reach2[d]`` for each d already in N(v), and
+    the new N(v) and N(u) to ``reach2[u]`` and ``reach2[v]``.  Both hold a
+    set only for the vertices with a neighbor in ``g``, the only possible
+    endpoints, so an input of sparse ids costs nothing per unused id.  The
+    output is read from ``adj``.  Maximality makes this the strongest
+    deterministic fallback on dense inputs.
     """
     order = list(g.edges)
     random.Random(seed).shuffle(order)
-    adj: list[set] = [set() for _ in range(g.n)]
-    kept = set()
+    ends = list(itertools.compress(range(g.n), g.adjacency))
+    adj = {x: set() for x in ends}
+    reach2 = None
+    if fam.kind == "even" and fam.bound <= 6:
+        reach2 = {x: set() for x in ends}
     for u, v in order:
-        if not closes_forbidden_cycle(adj, u, v, fam):
-            adj[u].add(v)
-            adj[v].add(u)
-            kept.add((u, v))
-    return edge_subgraph(g, kept.__contains__)
+        if closes_forbidden_cycle(adj, u, v, fam, reach2):
+            continue
+        nbrs_u, nbrs_v = adj[u], adj[v]
+        if reach2 is not None:
+            for a in nbrs_u:
+                reach2[a].add(v)
+            for d in nbrs_v:
+                reach2[d].add(u)
+        nbrs_u.add(v)
+        nbrs_v.add(u)
+        if reach2 is not None:
+            reach2[u] |= nbrs_v
+            reach2[v] |= nbrs_u
+    del reach2  # the largest sets; freed before the output graph is built
+    return edge_subgraph(g, lambda e: e[1] in adj[e[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ is not.  :func:`certify` is its raising form, the certification step for
 every host and output.  The search, :func:`girth_with_witness`, two-colors
 the graph first: a bipartite graph is certified by a C4 check and at most
 one 6-cycle instead of a BFS from every root.  :func:`check_family_free`
-answers the yes/no question alone, stopping at the first witness.
+answers the yes/no question alone, stopping at the first witness.  Its
+C4 check is decided by the neighbor-bitset scan
+(:func:`_smallest_shared_pair`) at every size, and its C6 search
+(:func:`_even_cycle_meet_in_middle`) clears most roots with one count of
+set sizes before any path search.
 :func:`closes_forbidden_cycle` is the per-edge test with which the greedy
 extractor (``greedy_family_free``) and the oracle's branch and bound
 decide which edges to keep.  It answers C4 and C6 with set operations on
-the kept graph's neighbor sets and searches paths only for longer cycles
-or when u and v share a neighbor.  No certificate relies on it.
+the kept graph's neighbor sets and two-step sets, which the greedy keeps
+as it adds edges, and searches paths only for longer cycles or when u
+and v share a neighbor.  No certificate relies on it.
 
 A girth is a plain number: an int, or :data:`INFINITE` (``math.inf``) for
 a forest.  :func:`girth_json` is its one text form.
@@ -201,15 +206,19 @@ class _SortedRowGraph(Graph):
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Built on first read: row u's neighbors above u, paired with u,
-        row after row.  Each endpoint is the adjacency rows' own int object
-        for its id, and the pairs go straight into the tuple, with no list
-        of all the edges beside it."""
+        """Built on first read from :meth:`upper_pairs`.  Each endpoint is
+        the adjacency rows' own int object for its id, and the pairs go
+        straight into the tuple, with no list of all the edges beside it."""
+        return tuple(self.upper_pairs())
+
+    def upper_pairs(self) -> Iterator[tuple[int, int]]:
+        """The edges in :attr:`edges` order, made one at a time from the
+        rows: row u's neighbors above u, paired with u, row after row."""
         ids, adjacency = self._ids, self.adjacency
         starts = map(bisect.bisect_right, adjacency, ids)
         uppers = map(itertools.islice, adjacency, starts, itertools.repeat(None))
         pairs = map(zip, map(itertools.repeat, ids), uppers)
-        return tuple(itertools.chain.from_iterable(pairs))
+        return itertools.chain.from_iterable(pairs)
 
 
 def _assemble(n: int, pairs: list[tuple[int, int]]) -> Graph:
@@ -572,18 +581,19 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
 def _find_c4(g: Graph) -> Optional[CycleWitness]:
     """C4 search by common-neighbor pair counting, O(sum C(d,2)).
 
-    A C4 is two vertices with two common neighbors.  Up to a workload of
-    400,000 neighbor pairs a dict returns the first repeated pair met; it
-    is slower than the scan on a C4-free graph, but its witnesses are the
-    ones small inputs print.  Beyond it :func:`_smallest_shared_pair`
-    returns the smallest such pair, and the witness is that pair with its
-    two smallest common neighbors.
+    A C4 is two vertices with two common neighbors.
+    :func:`_smallest_shared_pair` decides whether there is one at every
+    size, so a C4-free graph never builds a dict of neighbor pairs.  When
+    there is one, the witness depends on the workload, the number of
+    neighbor pairs: up to 400,000 a dict loop returns the first repeated
+    pair it meets, the witness small inputs have always printed; beyond
+    it the witness is the scan's pair with its two smallest common
+    neighbors.
     """
-    workload = sum(d * (d - 1) // 2 for d in g.degrees())
-    if workload > 400_000:
-        pair = _smallest_shared_pair(g)
-        if pair is None:
-            return None
+    pair = _smallest_shared_pair(g)
+    if pair is None:
+        return None
+    if sum(d * (d - 1) // 2 for d in g.degrees()) > 400_000:
         a, b = pair
         mids = sorted(set(g.adjacency[a]).intersection(g.adjacency[b]))
         return CycleWitness((mids[0], a, mids[1], b))
@@ -685,9 +695,35 @@ def _even_cycle_meet_in_middle(g: Graph, half: int) -> Optional[CycleWitness]:
     cycle; sound for any graph, intended for bounds where shorter even
     cycles are already excluded.  The DFS keeps one mutable path and
     on-path set, and stores a tuple only for each length-``half`` path.
+
+    A root v yields a cycle only when two of its paths end at one vertex.
+    At half = 3 most roots are cleared by one count first.  The paths
+    are v-a-b-x with a, b, x > v and x != a.  For each 2-path v-a-b take
+    the tail of N(b) above v: it holds a once, and the ends of the paths
+    through v-a-b are the rest of it.  Let c_a be the number of 2-paths
+    through a, T the tails' total length and U their union.  Then
+    T - |U| is sum(c_a - 1), plus the number of paths that end at some
+    a, plus how often each other end is reached more than once.  So when
+    T - |U| = sum(c_a - 1), no end is reached twice and the DFS, which
+    would find nothing, is skipped.  Otherwise the DFS runs as at every
+    other half, so the witness is the same.  The count reads only this
+    graph, never the greedy's test.  (On a C4-free graph no path ends at
+    an a, so there it clears exactly the roots where no end repeats.)
     """
     adj = g.adjacency
     for v in range(g.n):
+        if half == 3:
+            tails = []
+            excess = 0  # sum(c_a - 1) over the a with c_a >= 1
+            row = adj[v]
+            for a in row[bisect.bisect_right(row, v):]:
+                row_a = adj[a]
+                bs = row_a[bisect.bisect_right(row_a, v):]
+                if bs:
+                    excess += len(bs) - 1
+                    tails += [adj[b][bisect.bisect_right(adj[b], v):] for b in bs]
+            if sum(map(len, tails)) - len(set().union(*tails)) == excess:
+                continue
         # w -> the paths v..x (w excluded) of the length-half paths v..x w
         paths_to: dict[int, list[tuple[int, ...]]] = {}
         # stack[i] walks the neighbors of path[i], last first; stepping
@@ -810,7 +846,11 @@ def certify(g: Graph, fam: ForbiddenFamily, what: str) -> float:
 
 
 def closes_forbidden_cycle(
-    adj: Sequence[AbstractSet[int]], u: int, v: int, fam: ForbiddenFamily
+    adj: Sequence[AbstractSet[int]],
+    u: int,
+    v: int,
+    fam: ForbiddenFamily,
+    reach2: Optional[Sequence[AbstractSet[int]]] = None,
 ) -> bool:
     """Would adding the edge uv to the graph ``adj`` close a cycle in ``fam``?
 
@@ -824,24 +864,31 @@ def closes_forbidden_cycle(
       dist(u, v) <= L - 1.  Balls around u and v grow one level at a time,
       always on the side with the smaller frontier, until they meet or
       their radii sum to L - 1.
+    - ``even:4`` and ``even:6`` read the two-step sets W_x, the union of
+      N(a) over a in N(x).  A caller that keeps them passes them as
+      ``reach2`` (``reach2[x]`` = W_x for every x the query can reach:
+      u, v and their neighbors); without it each one the query reads is
+      built from ``adj``.
     - ``even:4``: l must be 3.  A 3-walk u-a-b-v is always a simple path:
       a != v and b != u because uv is not an edge.  So the answer is
-      whether some neighbor of u shares a neighbor with v.
-    - ``even:6``: l is 3 or 5.  Let W_u be the union of N(a) over
-      a in N(u), and W_v the same from v.  If W_u meets N(v), there is a
-      3-path.  Otherwise, when v is not in W_u (u and v share no
-      neighbor), a 5-path exists iff some b in W_u is adjacent to some
-      c in W_v.  Proof: take the walk u-a-b-c-d-v.  If a = c, b = d,
-      b = u or c = v, it holds a 3-walk, so a 3-path, which the first
-      check ruled out.  If u = c, a = d or b = v, then u and v share a
-      neighbor.  Every other coincidence needs uv to be an edge.  When u
-      and v do share a neighbor, the path search decides.
+      whether W_u meets N(v).
+    - ``even:6``: l is 3 or 5.  If W_u meets N(v), there is a 3-path.
+      Otherwise, when v is not in W_u (u and v share no neighbor), a
+      5-path exists iff some b in W_u is adjacent to some c in W_v, that
+      is iff W_a meets W_v for some a in N(u), or W_d meets W_u for some
+      d in N(v): the side with fewer neighbors is scanned.  Proof: take
+      the walk u-a-b-c-d-v.  If a = c, b = d, b = u or c = v, it holds a
+      3-walk, so a 3-path, which the first check ruled out.  If u = c,
+      a = d or b = v, then u and v share a neighbor.  Every other
+      coincidence needs uv to be an edge.  When u and v do share a
+      neighbor, the path search decides.
     - ``even:2r`` otherwise (:func:`_odd_path_dfs`): l must be odd, and a
       DFS over simple paths from u, pruned by BFS distances to v, decides.
 
-    This one test decides every edge of the greedy extractor and of the
-    exact oracle's branch and bound.  The greedy high-girth host decides
-    its pairs from stored distance balls instead
+    This one test decides every edge of the greedy extractor, which
+    passes the ``reach2`` it keeps, and of the exact oracle's branch and
+    bound, which removes edges and passes none.  The greedy high-girth
+    host decides its pairs from stored distance balls instead
     (:func:`hosts.greedy_high_girth`).
     """
     if u == v or v in adj[u]:
@@ -863,16 +910,26 @@ def closes_forbidden_cycle(
             ball |= frontier
         return False
 
-    nbrs_v = adj[v]
-    if max_len == 3:
-        return any(not adj[a].isdisjoint(nbrs_v) for a in adj[u])
-    if max_len == 5:
-        reach_u = set().union(*[adj[a] for a in adj[u]])
+    if max_len <= 5:
+        if reach2 is not None:
+            two_step = reach2.__getitem__
+        else:
+
+            def two_step(x: int) -> set[int]:
+                return set().union(*map(adj.__getitem__, adj[x]))
+
+        nbrs_u, nbrs_v = adj[u], adj[v]
+        reach_u = two_step(u)
         if not reach_u.isdisjoint(nbrs_v):
             return True
+        if max_len == 3:
+            return False
         if v not in reach_u:
-            reach_v = set().union(*[adj[d] for d in nbrs_v])
-            return any(not adj[b].isdisjoint(reach_v) for b in reach_u)
+            if len(nbrs_u) <= len(nbrs_v):
+                near, far = nbrs_u, two_step(v)
+            else:
+                near, far = nbrs_v, reach_u
+            return any(not two_step(a).isdisjoint(far) for a in near)
     return _odd_path_dfs(adj, u, v, max_len)
 
 
@@ -987,9 +1044,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def edge_list_lines(g: Graph) -> Iterator[str]:
-    """The edge-list text of ``g`` line by line, for writing it unjoined."""
+    """The edge-list text of ``g`` line by line, for writing it unjoined.
+    A sorted-row graph's lines come straight from its rows, so writing a
+    plane host builds no edge tuple."""
     yield f"# girthforge edge list: n={g.n} m={g.m}\n"
-    for u, v in g.edges:
+    pairs = g.upper_pairs() if isinstance(g, _SortedRowGraph) else g.edges
+    for u, v in pairs:
         yield f"{u} {v}\n"
 
 

@@ -3,9 +3,12 @@
 Exact family-constrained Turán numbers by branch and bound, and the
 cherry (common-neighbor) bound for C4-free bipartite graphs.  Used to
 validate extractor outputs, never to produce them.  The branch and bound
-decides each edge with :func:`graph.closes_forbidden_cycle`, the same
-test that decides every edge of the greedy extractor, so the oracle is
-independent of the extractors' pipelines but not of that test;
+decides each edge with :func:`graph.closes_forbidden_cycle`, the test
+that decides every edge of the greedy extractor, so the oracle is
+independent of the extractors' pipelines but not of that test's lemma.
+The greedy passes the two-step sets it keeps as it adds edges; the
+branch and bound also removes edges, so it passes none and the test
+builds the sets each query reads from the kept neighbor sets.
 ``tests/bruteforce.py`` checks the test itself, C4 and C6 set-operation
 answers included.  The witness is re-certified by
 :func:`graph.check_family_free`, which does not use that test.

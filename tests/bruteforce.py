@@ -210,6 +210,20 @@ def reference_max_kpartite(g: Graph, k: int, seed: int):
     return tuple(part), cross
 
 
+def reference_dict_c4(g: Graph):
+    """The C4 witness of the neighbor-pair dict: vertices u in increasing
+    order, each one's neighbor pairs (a, b), a < b, in order; the first
+    pair met again, at u, after it was met at w gives (w, a, u, b).  None
+    when no pair repeats."""
+    first_at: dict = {}
+    for u in range(g.n):
+        for a, b in itertools.combinations(g.adjacency[u], 2):
+            if (a, b) in first_at:
+                return CycleWitness((first_at[(a, b)], a, u, b))
+            first_at[(a, b)] = u
+    return None
+
+
 def brute_smallest_shared_pair(g: Graph):
     """Smallest pair a < b (lexicographically) with two or more common
     neighbors, or None."""

@@ -33,6 +33,19 @@ def small_graphs(draw, max_n=8, max_m=None):
     return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
 
 
+@st.composite
+def dense_graphs(draw):
+    """Graphs on 4..10 vertices with n <= m <= 30 edges and at least one
+    non-edge: dense enough that walks between a non-edge's ends revisit
+    vertices."""
+    n = draw(st.integers(min_value=4, max_value=10))
+    total = n * (n - 1) // 2
+    m = draw(st.integers(min_value=min(n, total - 1), max_value=min(30, total - 1)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    chosen = rng.sample(range(total), m)
+    return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
+
+
 def heawood():
     """The Heawood graph, the point-line incidence graph of PG(2,2): cubic,
     bipartite (even and odd vertices), girth 6, from its LCF notation

@@ -39,7 +39,7 @@ from girthforge.edge_extract import (
     star_fallback,
 )
 from bruteforce import has_forbidden, reference_case1, reference_greedy_family_free
-from conftest import each_graph_searched_once, small_graphs
+from conftest import dense_graphs, each_graph_searched_once, small_graphs
 
 EVEN4 = ForbiddenFamily("even", 4)
 
@@ -312,6 +312,23 @@ class TestFallbacks:
                 continue
             larger = Graph.from_edges(g.n, list(kept) + [e])
             assert has_forbidden(larger, "even", 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(small_graphs(max_n=10), dense_graphs()),
+        st.sampled_from([4, 6]),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**30),
+    )
+    def test_greedy_matches_the_reference_on_random_graphs(self, g, bound, spread, seed):
+        # spread > 1 leaves isolated ids between the used ones
+        g = Graph.from_edges(
+            (g.n - 1) * spread + 1, [(u * spread, v * spread) for u, v in g.edges]
+        )
+        fam = ForbiddenFamily("even", bound)
+        assert greedy_family_free(g, fam, seed).edges == reference_greedy_family_free(
+            g, fam, seed
+        )
 
     @pytest.mark.parametrize(
         "g",

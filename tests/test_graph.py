@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from unittest import mock
@@ -41,11 +42,12 @@ from bruteforce import (
     brute_shortest_even,
     cycle_lengths_through,
     has_forbidden,
+    reference_dict_c4,
     reference_even_cycle_meet_in_middle,
     reference_from_edges,
     reference_two_coloring,
 )
-from conftest import bipartite_graphs, heawood, small_graphs
+from conftest import bipartite_graphs, dense_graphs, heawood, small_graphs
 
 
 def cycle_graph(n):
@@ -193,6 +195,9 @@ class TestFromUpperRows:
         built = Graph._from_upper_rows(list(range(g.n)), iter(upper) if lazy else upper)
         reference = Graph.from_edges(g.n, sorted(g.edges))
         assert "edges" not in vars(built) and built.m == reference.m
+        # the edge list is written from the rows, with no edge tuple
+        assert format_edge_list(built) == format_edge_list(reference)
+        assert "edges" not in vars(built)
         assert built.edges == reference.edges
         assert built == reference
         assert list(built.edges) == sorted(built.edges)
@@ -441,6 +446,34 @@ class TestSmallestSharedPair:
         assert w.vertices == (202, 0, 203, 1)
         w.validate(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.one_of(small_graphs(max_n=10), dense_graphs(), bipartite_graphs()))
+    def test_small_witness_is_the_dict_loops(self, g):
+        # below 400,000 neighbor pairs the scan only decides; a C4 is then
+        # reported as the first repeated neighbor pair
+        expected = reference_dict_c4(g)
+        assert (expected is None) == (brute_smallest_shared_pair(g) is None)
+        got = graph_mod._find_c4(g)
+        assert (got and got.vertices) == (expected and expected.vertices)
+
+
+# Two 3-paths v-a-b-x and v-c-d-x from the lowest vertex v = 0 that end at
+# one x = 3 but share an interior vertex, so they make no C6.
+TWO_PATH_OVERLAPS = {
+    "a=d": ((0, 1), (1, 2), (2, 3), (0, 4), (4, 1), (1, 3)),
+    "b=c": ((0, 1), (1, 2), (2, 3), (0, 2), (2, 4), (4, 3)),
+}
+
+
+# "c6" is a 6-cycle.  In "two-c6s" the 3-paths 0-1-3-7, 0-2-5-7, 0-1-4-8
+# and 0-2-6-8 reach two ends twice each, from two first steps with two
+# second steps each.
+C6_BLOCKS = {
+    "c6": tuple((i, (i + 1) % 6) for i in range(6)),
+    "two-c6s": ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (5, 7),
+                (4, 8), (6, 8)),
+}
+
 
 class TestEvenCycleSearch:
     def test_c4_found(self):
@@ -498,6 +531,43 @@ class TestEvenCycleSearch:
             expected = reference_even_cycle_meet_in_middle(g, half)
             got = graph_mod._even_cycle_meet_in_middle(g, half)
             assert (got and got.vertices) == (expected and expected.vertices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.one_of(small_graphs(max_n=10), dense_graphs()))
+    def test_c6_search_matches_reference_with_triangles_and_c4s(self, g):
+        expected = reference_even_cycle_meet_in_middle(g, 3)
+        got = graph_mod._even_cycle_meet_in_middle(g, 3)
+        assert (got and got.vertices) == (expected and expected.vertices)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("shape", sorted(TWO_PATH_OVERLAPS))
+    @pytest.mark.parametrize("top_block", sorted(C6_BLOCKS))
+    def test_c6_among_the_highest_ids(self, seed, shape, top_block):
+        # blocks with no C6 (a triangle, a C4, a K4 and a shape where two
+        # 3-paths from its lowest vertex meet) chained by bridges, then a
+        # block with a C6 through its lowest vertex on the highest ids:
+        # every root below it must be passed
+        rng = random.Random(seed)
+        edges, top = [], 0
+        blocks = [((0, 1), (1, 2), (0, 2)), ((0, 1), (1, 2), (2, 3), (0, 3)),
+                  tuple(itertools.combinations(range(4), 2)), TWO_PATH_OVERLAPS[shape]]
+        rng.shuffle(blocks)
+        for block in blocks:
+            if top:
+                edges.append((rng.randrange(top), top + rng.randrange(2)))
+            edges += [(top + a, top + b) for a, b in block]
+            top += 1 + max(map(max, block))
+        for _ in range(rng.randrange(4)):  # pendant vertices
+            edges.append((rng.randrange(top), top))
+            top += 1
+        edges.append((rng.randrange(top), top))
+        block = C6_BLOCKS[top_block]
+        edges += [(top + a, top + b) for a, b in block]
+        g = Graph.from_edges(top + 1 + max(map(max, block)), edges)
+        expected = reference_even_cycle_meet_in_middle(g, 3)
+        got = graph_mod._even_cycle_meet_in_middle(g, 3)
+        assert expected is not None and min(expected.vertices) == top
+        assert got.vertices == expected.vertices
 
 
 def _assert_check_matches_bruteforce(g, fam):
@@ -673,19 +743,6 @@ class TestClosesForbiddenCycle:
 # the families whose per-edge test has a set-operation form (4, 6) and the
 # first one decided by the path search alone (8)
 SET_PATH_FAMILIES = [ForbiddenFamily("even", b) for b in (4, 6, 8)]
-
-
-@st.composite
-def dense_graphs(draw):
-    """Graphs on 4..10 vertices with n <= m <= 30 edges and at least one
-    non-edge: dense enough that walks between a non-edge's ends revisit
-    vertices."""
-    n = draw(st.integers(min_value=4, max_value=10))
-    total = n * (n - 1) // 2
-    m = draw(st.integers(min_value=min(n, total - 1), max_value=min(30, total - 1)))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    chosen = rng.sample(range(total), m)
-    return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
 
 
 # Each graph holds the walk u-a-b-c-d-v (u = 0, v = 9) with the named pair
