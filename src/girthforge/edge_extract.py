@@ -120,14 +120,22 @@ def h_star(g: Graph, chi: VertexColoring, host: HostGraph) -> Graph:
     """As h_prime, but an edge survives only if each endpoint is the unique
     neighbor of the other carrying its color (1-frugal along kept edges)."""
     colors, host_adj = _labeling(g, chi, host)
-    seen_counts = [Counter(colors[w] for w in g.adjacency[v]) for v in range(g.n)]
+    # a vertex's neighbor-color count, built when an edge at it first
+    # passes the host test
+    seen_counts: dict[int, Counter] = {}
+
+    def seen(v):
+        counts = seen_counts.get(v)
+        if counts is None:
+            counts = seen_counts[v] = Counter(colors[w] for w in g.adjacency[v])
+        return counts
 
     def keep(e):
         u, v = e
         return (
             colors[v] in host_adj[colors[u]]
-            and seen_counts[u][colors[v]] == 1
-            and seen_counts[v][colors[u]] == 1
+            and seen(u)[colors[v]] == 1
+            and seen(v)[colors[u]] == 1
         )
 
     return edge_subgraph(g, keep)

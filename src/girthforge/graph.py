@@ -13,7 +13,7 @@ every host and output.  The search, :func:`girth_with_witness`, two-colors
 the graph first: a bipartite graph is certified by a C4 check and at most
 one 6-cycle instead of a BFS from every root.  :func:`check_family_free`
 answers the yes/no question alone, stopping at the first witness.  Its
-C4 check is decided by the neighbor-bitset scan
+C4 check and witness come from the neighbor-bitset scan
 (:func:`_smallest_shared_pair`) at every size, and its C6 search
 (:func:`_even_cycle_meet_in_middle`) clears most roots with one count of
 set sizes before any path search.
@@ -509,9 +509,9 @@ def girth_with_witness(
     :func:`_find_c4` is a shortest cycle, and without one every cycle has
     length >= 6, so a 6-cycle is shortest too: ``stop_at`` is raised to 6.
 
-    Then a BFS runs from every vertex in turn, truncated at half the
-    current best bound; the minimum detection over all roots equals the
-    girth.
+    Then a BFS runs from every vertex with a neighbor in turn, truncated
+    at half the current best bound; the minimum detection over all roots
+    equals the girth.
     The scan stops at the first cycle of length <= ``stop_at``.  With the
     default 3 nothing shorter exists, so the girth is always exact.  With
     ``stop_at`` = L a result above L is the exact girth, and a result of at
@@ -529,7 +529,7 @@ def girth_with_witness(
         stop_at = max(stop_at, 6)
     best: float = INFINITE
     best_witness: Optional[CycleWitness] = None
-    for root in range(g.n):
+    for root in itertools.compress(range(g.n), g.adjacency):
         # math.inf // 2 is nan, so an unbounded search is capped at n
         cap = g.n if best == INFINITE else (best + 1) // 2
         hit = _bfs_detect(g, root, cap, stop_at)
@@ -565,7 +565,7 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
     if coloring is not None and g.m <= g.n - coloring[1]:
         return None
     cap = (bound + 1) // 2
-    for root in range(g.n):
+    for root in itertools.compress(range(g.n), g.adjacency):
         hit = _bfs_detect(g, root, cap)
         if hit is None:
             continue
@@ -579,35 +579,19 @@ def find_cycle_up_to(g: Graph, bound: int) -> Optional[CycleWitness]:
 
 
 def _find_c4(g: Graph) -> Optional[CycleWitness]:
-    """C4 search by common-neighbor pair counting, O(sum C(d,2)).
+    """A C4, or None when ``g`` is C4-free.
 
-    A C4 is two vertices with two common neighbors.
-    :func:`_smallest_shared_pair` decides whether there is one at every
-    size, so a C4-free graph never builds a dict of neighbor pairs.  When
-    there is one, the witness depends on the workload, the number of
-    neighbor pairs: up to 400,000 a dict loop returns the first repeated
-    pair it meets, the witness small inputs have always printed; beyond
-    it the witness is the scan's pair with its two smallest common
-    neighbors.
+    A C4 is two vertices with two common neighbors.  The witness is
+    (c1, a, c2, b): the smallest shared pair (a, b) from
+    :func:`_smallest_shared_pair` and its two smallest common neighbors
+    c1 < c2, at every size.
     """
     pair = _smallest_shared_pair(g)
     if pair is None:
         return None
-    if sum(d * (d - 1) // 2 for d in g.degrees()) > 400_000:
-        a, b = pair
-        mids = sorted(set(g.adjacency[a]).intersection(g.adjacency[b]))
-        return CycleWitness((mids[0], a, mids[1], b))
-    seen: dict[tuple[int, int], int] = {}
-    for u in range(g.n):
-        nbrs = g.adjacency[u]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                key = (nbrs[i], nbrs[j])
-                other = seen.get(key)
-                if other is not None:
-                    return CycleWitness((other, key[0], u, key[1]))
-                seen[key] = u
-    return None
+    a, b = pair
+    mids = sorted(set(g.adjacency[a]).intersection(g.adjacency[b]))
+    return CycleWitness((mids[0], a, mids[1], b))
 
 
 _MASK_BUDGET = 1 << 25  # bytes of neighbor bitsets the scan may hold
@@ -711,7 +695,7 @@ def _even_cycle_meet_in_middle(g: Graph, half: int) -> Optional[CycleWitness]:
     an a, so there it clears exactly the roots where no end repeats.)
     """
     adj = g.adjacency
-    for v in range(g.n):
+    for v in itertools.compress(range(g.n), adj):
         if half == 3:
             tails = []
             excess = 0  # sum(c_a - 1) over the a with c_a >= 1
