@@ -291,9 +291,10 @@ PG22_INCIDENCE = "".join(f"{p} {7 + i}\n" for i, line in enumerate(FANO_LINES) f
 
 # case -> (input, family, sha256 of stdout, which --out repeats verbatim)
 VERIFY_WITNESS_CASES = {
-    # the dict path of _find_c4 (witness [0, 5, 1, 6])
+    # _find_c4: the smallest shared pair (0, 1) with its common neighbors
+    # 5 and 6 (witness [5, 0, 6, 1])
     "small-even4": ("small", "even:4",
-                    "92bca6f04b2691be3e86aa6e144cbbe672fead523ed97000eab55cbbed55c1a4"),
+                    "2c6f14399d92e57e99929b148efa4383805f1e14b96b4018c00499ec937fe7e7"),
     # girth 5, not bipartite, no C4: _even_cycle_meet_in_middle
     "petersen-even6": (PETERSEN, "even:6",
                        "c4a09a83b63afa6d4f85e1fc6395cd969739c05ac516c4c744b9b928c47293fe"),
