@@ -11,6 +11,7 @@ by edges, never loses to the trivial answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -120,15 +121,12 @@ def h_star(g: Graph, chi: VertexColoring, host: HostGraph) -> Graph:
     """As h_prime, but an edge survives only if each endpoint is the unique
     neighbor of the other carrying its color (1-frugal along kept edges)."""
     colors, host_adj = _labeling(g, chi, host)
+
     # a vertex's neighbor-color count, built when an edge at it first
     # passes the host test
-    seen_counts: dict[int, Counter] = {}
-
+    @functools.cache
     def seen(v):
-        counts = seen_counts.get(v)
-        if counts is None:
-            counts = seen_counts[v] = Counter(colors[w] for w in g.adjacency[v])
-        return counts
+        return Counter(colors[w] for w in g.adjacency[v])
 
     def keep(e):
         u, v = e
