@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from girthforge.graph import (
@@ -42,6 +42,7 @@ from bruteforce import (
     brute_shortest_even,
     cycle_lengths_through,
     has_forbidden,
+    reference_dict_c4,
     reference_even_cycle_meet_in_middle,
     reference_from_edges,
     reference_two_coloring,
@@ -435,12 +436,33 @@ class TestSmallestSharedPair:
         assert expected is not None
         assert shared_pair_both_paths(g) == [expected, expected]
 
+    def test_large_workload_witness(self):
+        # K(200,100) less two edges, 1,990,000 neighbor pairs: 0 and 1
+        # share 202..299, so the witness is 202-0-203-1
+        edges = [(i, 200 + j) for i in range(200) for j in range(100)]
+        edges = [e for e in edges if e not in {(0, 200), (1, 201)}]
+        g = Graph.from_edges(300, edges)
+        w = find_short_even_cycle(g, 4)
+        assert w.vertices == (202, 0, 203, 1)
+        w.validate(g)
+
     @settings(max_examples=200, deadline=None)
     @given(g=st.one_of(small_graphs(max_n=10), dense_graphs(), bipartite_graphs()))
-    # K(200,100) less two edges: 0 and 1 share 202..299
-    @example(g=Graph.from_edges(300, [
-        (i, 200 + j) for i in range(200) for j in range(100)
-        if (i, 200 + j) not in {(0, 200), (1, 201)}]))
+    def test_small_witness_is_the_dict_loops(self, g):
+        # the neighbor-pair dict loops, an independent C4 finder, find one
+        # exactly when the scan does; the scan's pair is the smallest shared
+        # pair, so never above the first pair the dict loops meet twice
+        expected = reference_dict_c4(g)
+        assert (expected is None) == (brute_smallest_shared_pair(g) is None)
+        got = graph_mod._find_c4(g)
+        assert (got is None) == (expected is None)
+        if expected is not None:
+            expected.validate(g)
+            got.validate(g)
+            assert got.vertices[1::2] <= expected.vertices[1::2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.one_of(small_graphs(max_n=10), dense_graphs(), bipartite_graphs()))
     def test_witness_is_the_smallest_shared_pair(self, g):
         # at every size: (c1, a, c2, b) for the smallest shared pair (a, b)
         # and its two smallest common neighbors c1 < c2
