@@ -43,7 +43,6 @@ from .seeds import mix
 
 _SALT_WEIGHTS = 515
 
-HOST_ORDER_CAP = 50_000  # hard cap on host order
 DEFAULT_MAX_ROUNDS = 64  # resampling rounds per trial before it is degraded
 
 
@@ -282,10 +281,11 @@ def _degree_host(k_quantized: int, r: int) -> Optional[HostGraph]:
     no such host fits the order.
 
     r = 2 uses the smallest projective incidence graph (girth exactly 6)
-    with k_quantized points, or the largest supported one when none has
-    that many; r >= 3 the greedy construction, capped at a desk-scale
-    order, which has no girth-(2r+2) graph below 2r + 2 vertices.  The
-    caller flags either cap binding as size_capped.
+    with k_quantized points, or the largest supported one, PG(2,101), when
+    none has that many (from k_quantized = 16384 on); r >= 3 the greedy
+    construction of order 2 k_quantized, capped at DESK_GREEDY_ORDER, which
+    has no girth-(2r+2) graph below 2r + 2 vertices.  The caller flags a
+    host below 2 k_quantized as size_capped.
     """
     if r == 2:
         q = smallest_prime_with_plane_order(k_quantized)
@@ -303,8 +303,11 @@ def extract_spanning_high_girth(
 ) -> tuple[Graph, ExtractionReport]:
     """Best certified girth >= 2r+2 spanning subgraph by minimum degree.
 
-    Host order targets 2 * ceil(2 e^4 Delta) (quantized and capped);
-    frugality is t = max(1, ceil(ln Delta)).  Each trial resamples a
+    The host is sized by kq, Delta + 1 (a closed neighborhood's size)
+    rounded up to a power of two, not by the paper's 2 ceil(2 e^4 Delta),
+    which serves only its local-lemma count: retention makes each
+    color-class pair a matching, so any host of girth >= 2r+2 will do.
+    Frugality is t = max(1, ceil(ln Delta)).  Each trial resamples a
     coloring, takes the host-edge subgraph, and thins it by edge
     retention; the identity (when already certified) and a spanning forest
     always compete, so a certified candidate exists for every input.  With
@@ -337,14 +340,10 @@ def extract_spanning_high_girth(
     add(spanning_forest(g), "forest")
 
     host_meta: dict = {}
-    host = None
-    if g.m > 0:
-        k_raw = math.ceil(2 * math.e**4 * delta_max)
-        k = min(k_raw, HOST_ORDER_CAP // 2)
-        kq = _quantize(k)
-        host = _degree_host(kq, r)
+    kq = _quantize(delta_max + 1)
+    host = _degree_host(kq, r) if g.m > 0 else None
     if host is not None:
-        capped = k < k_raw or host.order < 2 * kq
+        capped = host.order < 2 * kq
         t = max(1, math.ceil(math.log(delta_max)))
         q = max(1, host.min_degree)
         ell = host.order
@@ -357,7 +356,7 @@ def extract_spanning_high_girth(
             },
             "t": t,
             "size_capped": capped,
-            # informational only: whether the asymptotic guarantee's
+            # informational (false unless Delta is tiny): whether the paper's
             # precondition (host supply vs Delta^2 log^4 Delta) plausibly held
             "precondition_plausible": bool(
                 not capped

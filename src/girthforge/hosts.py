@@ -350,10 +350,10 @@ def dense_subhost(g_prime: HostGraph, k: int) -> HostGraph:
 
     Low-degree pruning is never needed for the hosts
     :func:`degree_extract._degree_host` passes: at r = 2 the PG(2,q)
-    incidence graph has degree q + 1 = 12-102 against a threshold
-    ceil(m / 4k) of 4-29 for every kq from 128 to 16384, and order
-    <= kq + 1 at 32768; at r >= 3 the greedy hosts (at most 400 vertices,
-    kq >= 128) have threshold 1 and, being maximal, minimum degree >= 1.
+    incidence graph has degree q + 1 = 3-102 against a threshold
+    ceil(m / 4k) of 2-29 for every kq from 2 to 16384, and order <= kq + 1
+    from 32768 on; at r >= 3 the greedy hosts (at most 400 vertices,
+    kq >= 4) have threshold 1 and, being maximal, minimum degree >= 1.
     ``TestDegreeHost`` in the degree extractor's tests re-checks both.
     """
     if k < 1:

@@ -415,15 +415,33 @@ class TestExtractor:
         assert isinstance(report.extras["degraded"], bool)
 
     def test_small_host_is_size_capped_at_r2(self, monkeypatch):
-        # the PG(2,101) clamp leaves the r = 2 host below 2 kq for
-        # 76 <= Delta <= 228; a small host stands in for it here
+        # the PG(2,101) clamp leaves the r = 2 host below 2 kq once
+        # kq >= 16384; a small host stands in for it here, and K10's
+        # kq = 16 puts its 26 vertices below 2 kq
         monkeypatch.setattr(
             degree_mod, "_degree_host", lambda kq, r: incidence_graph_pg2(3)
         )
-        _, report = extract_spanning_high_girth(complete(6), 2, 5, 1)
+        _, report = extract_spanning_high_girth(complete(10), 2, 5, 1)
         assert report.extras["host"]["order"] == 26
         assert report.extras["size_capped"] is True
         assert report.extras["precondition_plausible"] is False
+
+    def test_host_is_sized_by_max_degree(self):
+        # the smallest plane with Delta + 1 points, rounded up to a power
+        # of two: kq = 64 on K40, so PG(2,11), not the PG(2,97) that
+        # 2 e^4 Delta points would take
+        _, report = extract_spanning_high_girth(complete(40), 2, 7, 4)
+        assert report.extras["host"]["order"] == 266
+        assert report.extras["host"]["label"].endswith("incidence_pg2(q=11)")
+        assert report.extras["size_capped"] is False
+
+    def test_resample_beats_forest_on_k20(self):
+        # with PG(2,7) as host a resample trial clears and, after
+        # retention, keeps more edges than the forest at the same minimum
+        # degree
+        out, report = extract_spanning_high_girth(complete(20), 2, 1, 2)
+        assert report.method == "resample"
+        assert (out.min_degree(), out.m) == (1, 22)
 
     def test_resample_winner_digests(self, monkeypatch):
         # a certified paper-pipeline candidate that wins the race: on K20
@@ -505,19 +523,20 @@ class TestDegreeHost:
         return order <= kq + 1 or min_degree >= -(-m // (4 * kq))
 
     def test_incidence_rungs(self, monkeypatch):
-        # every kq the extractor reaches at r = 2, from Delta = 1 to the order
-        # cap; each plane's numbers come from the (q+1)-regularity that
+        # every kq the extractor reaches at r = 2, from Delta = 1 up to
+        # 16384; from 32768 on, PG(2,101)'s 20,606 vertices are at most
+        # kq + 1.  Each plane's numbers come from the (q+1)-regularity that
         # incidence_graph_pg2 checks, since PG(2,101) takes seconds to build
         planes = []
         monkeypatch.setattr(degree_mod, "incidence_graph_pg2", planes.append)
         monkeypatch.setattr(degree_mod, "dense_subhost", lambda base, k: base)
-        kq = degree_mod._quantize(math.ceil(2 * math.e**4))
+        kq = degree_mod._quantize(1 + 1)
         kqs = []
-        while kq <= degree_mod._quantize(degree_mod.HOST_ORDER_CAP // 2):
+        while kq <= 16384:
             degree_mod._degree_host(kq, 2)
             kqs.append(kq)
             kq *= 2
-        assert (kqs[0], kqs[-1], len(planes)) == (128, 32768, len(kqs))
+        assert (kqs[0], len(planes)) == (2, len(kqs))
         assert set(planes) <= set(PLANE_ORDERS)
         for kq, q in zip(kqs, planes):
             n = q * q + q + 1
@@ -525,13 +544,17 @@ class TestDegreeHost:
 
     @pytest.mark.parametrize("r", range(3, 9))
     def test_greedy_rungs(self, monkeypatch, r):
+        # kq = 2..512; from 256 on the order is DESK_GREEDY_ORDER, and a
+        # kq whose 2 kq is below 2r + 2 gets no host
         bases = []
         monkeypatch.setattr(
             degree_mod, "dense_subhost", lambda base, k: bases.append((base, k))
         )
-        for kq in (128, 256, 512):
+        kqs = [1 << i for i in range(1, 10)]
+        built = [kq for kq in kqs if 2 * kq >= 2 * r + 2]
+        for kq in kqs:
             degree_mod._degree_host(kq, r)
-        assert len(bases) == 3
+        assert [kq for _, kq in bases] == built
         for base, kq in bases:
             assert self._needs_no_pruning(
                 base.order, base.graph.m, base.min_degree, kq
