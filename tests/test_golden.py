@@ -141,11 +141,11 @@ def test_oracle_digests(small_path, tmp_path):
 # r -> (sha256 of stdout, sha256 of the --out file)
 DEGREE_CASES = {
     "2": (
-        "aab96f365e8616604352fccc2379305afc6e8ecea3c9e4033099d7239bb00e41",
+        "133c38b5334da99a953a7ee319357befd39b2c6716d7d89fc7de6cb7fb5d4702",
         "e77b7c8e7ba2756f2bddd48dd6a3a44b79c90271dbbd4584bb1627ba15360eeb",
     ),
     "3": (
-        "4358ad0e503a78108d3a11ed31378260f7680f638a91eb319bf7f4dd1089be29",
+        "d214a95e9729fa5a7d3fe2169d01a4de729fffc2107a26e6ded73abbb8c8829d",
         "e77b7c8e7ba2756f2bddd48dd6a3a44b79c90271dbbd4584bb1627ba15360eeb",
     ),
 }
@@ -268,7 +268,7 @@ def test_forest_extract_degree_digests(tmp_path):
     code, stdout, out = _run(argv, tmp_path / "out.edges")
     assert code == 0
     assert (_sha(stdout), _sha(out)) == (
-        "e1c0cf6a7747811aa8130f665d4a4d9e3ffbc96b045c3b63960a7e758068d4d7",
+        "5fba975a98c349089fa546baf6430dcd996ec6cb2cb800fa5e6f9dd518e48ed9",
         "d36e97be366d3a8816b230dce5c94eb6b5bd030ef95edca78d7821fb0238bcd8",
     )
 
