@@ -1,11 +1,14 @@
 """Immutable simple-graph core: construction, girth, short-cycle certification.
 
-Every other module builds on :class:`Graph`.  A graph is filled from an
-edge list by :func:`_assemble` (:meth:`Graph.from_edges`,
-:func:`parse_edge_list`), and stores those edges in input order, or, for
-the PG(2,q) hosts, from sorted upper rows by :meth:`Graph._from_upper_rows`,
-and builds its edge tuple from the adjacency rows only when it is first
-read.  :func:`family_girth` is the
+Every other module builds on :class:`Graph`.  Edges are checked once,
+where they enter.  :meth:`Graph.from_edges` and :func:`parse_edge_list`
+check an edge list pair by pair, in input order, and :func:`_assemble`
+stores the pairs in that order.  :meth:`Graph._from_upper_rows` checks
+the sorted upper rows of the PG(2,q) hosts and builds the edge tuple
+from the adjacency rows only when it is first read.  A cut
+(:func:`edge_subgraph`) keeps some of a built graph's edges, which are
+distinct ordered pairs already, and is not checked again.
+:func:`family_girth` is the
 one search behind every certificate: it tells whether a graph is free of
 a forbidden family, with its exact girth when it is and a witness when it
 is not.  :func:`certify` is its raising form, the certification step for
@@ -118,22 +121,30 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Graph on ``0..n-1`` from (u, v) pairs in either orientation.
 
-        Raises ValueError on a self-loop, an endpoint outside ``0..n-1`` or
-        a parallel edge.  The pairs are normalised in one pass, reusing
-        tuples already ordered u < v, and validated in bulk by one
-        ``all()`` and one ``set()``.  Only when that check fails (or a pair
-        is not a hashable 2-tuple) are they scanned one by one, which
-        raises the first error in input order.  :func:`_assemble` builds it.
+        The pairs are checked and normalised one at a time, in input order,
+        so the first self-loop, endpoint outside ``0..n-1`` or parallel
+        edge raises ValueError.  A tuple already ordered u < v is stored as
+        given.  :func:`_assemble` builds the graph.
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = list(edges)
-        try:
-            norm = [e if u < v else (v, u) for e in edges for u, v in (e,)]
-            valid = all(0 <= u < v < n for u, v in norm) and len(set(norm)) == len(norm)
-        except (TypeError, ValueError):
-            valid = False
-        return _assemble(n, norm if valid else _scan_edges(n, edges))
+        seen: set[tuple[int, int]] = set()
+        pairs: list[tuple[int, int]] = []
+        for e in edges:
+            u, v = e
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+            if v < u:
+                e = (v, u)
+            elif type(e) is not tuple:
+                e = (u, v)
+            if e in seen:
+                raise ValueError(f"parallel edge ({e[0]},{e[1]})")
+            seen.add(e)
+            pairs.append(e)
+        return _assemble(n, pairs)
 
     @staticmethod
     def _from_upper_rows(ids: list[int], upper: Iterable[Sequence[int]]) -> "Graph":
@@ -223,31 +234,15 @@ class _SortedRowGraph(Graph):
 
 def _assemble(n: int, pairs: list[tuple[int, int]]) -> Graph:
     """The graph on ``0..n-1`` with the checked ``pairs`` (distinct, each
-    ``0 <= u < v < n``) as its edges in order: the adjacency fill of
-    :meth:`Graph.from_edges` and :func:`parse_edge_list`."""
+    ``0 <= u < v < n``) as its edges in order.  It checks nothing: it is
+    the adjacency fill of :meth:`Graph.from_edges` and
+    :func:`parse_edge_list`, which check the pairs first, and of
+    :func:`edge_subgraph`, whose pairs a built graph holds."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n=n, edges=tuple(pairs), adjacency=tuple(tuple(sorted(a)) for a in adj))
-
-
-def _scan_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Normalise and check the edges one at a time, in input order; raises
-    at the first self-loop, out-of-range endpoint or parallel edge."""
-    seen: set[tuple[int, int]] = set()
-    norm: list[tuple[int, int]] = []
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ValueError(f"parallel edge ({e[0]},{e[1]})")
-        seen.add(e)
-        norm.append(e)
-    return norm
 
 
 @dataclass(frozen=True)
@@ -373,8 +368,10 @@ def pair_from_index(n: int, index: int) -> tuple[int, int]:
 
 def edge_subgraph(g: Graph, keep: Callable[[tuple[int, int]], bool]) -> Graph:
     """Spanning subgraph with the edges that satisfy ``keep``, in
-    ``g.edges`` order."""
-    return Graph.from_edges(g.n, [e for e in g.edges if keep(e)])
+    ``g.edges`` order, each ``g``'s own tuple.  The kept pairs go straight
+    to :func:`_assemble`: as a subsequence of ``g.edges`` they are
+    distinct pairs ``0 <= u < v < n``, checked when ``g`` was built."""
+    return _assemble(g.n, [e for e in g.edges if keep(e)])
 
 
 def check_parts(g: Graph, parts: tuple[Sequence[int], Sequence[int]]) -> None:
