@@ -991,6 +991,7 @@ def parse_edge_list(text: str) -> Graph:
     are isolated vertices.  Checked here once, the pairs go straight to
     :func:`_assemble`, not through :meth:`Graph.from_edges`.
     """
+    width = len(str(MAX_VERTEX_ID))
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     max_v = -1
@@ -1006,6 +1007,8 @@ def parse_edge_list(text: str) -> Graph:
             a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()
         ):
             raise EdgeListParseError(f"line {lineno}: non-integer vertex in {raw!r}")
+        if len(a) > width or len(b) > width:
+            a, b = _short_id(a, lineno), _short_id(b, lineno)
         u, v = int(a), int(b)
         if u < 0 or v < 0:
             raise EdgeListParseError(f"line {lineno}: negative vertex id")
@@ -1022,6 +1025,20 @@ def parse_edge_list(text: str) -> Graph:
         edges.append(key)
         max_v = max(max_v, u, v)
     return _assemble(max_v + 1, edges)
+
+
+def _short_id(token: str, lineno: int) -> str:
+    """The id ``token`` (ASCII digits after at most one '-') without its
+    leading zeros, which int() counts against its limit of 4300 digits:
+    "-007" is "-7".  An id with more digits left than :data:`MAX_VERTEX_ID`
+    has is rejected here, by that count, and never reaches int()."""
+    sign = "-" if token.startswith("-") else ""
+    digits = token.removeprefix("-").lstrip("0")
+    if len(digits) > len(str(MAX_VERTEX_ID)):
+        if sign:
+            raise EdgeListParseError(f"line {lineno}: negative vertex id")
+        raise EdgeListParseError(f"line {lineno}: vertex id {digits} exceeds MAX_VERTEX_ID")
+    return sign + (digits or "0")
 
 
 def edge_list_lines(g: Graph) -> Iterator[str]:

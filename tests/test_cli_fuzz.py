@@ -160,7 +160,7 @@ def test_sweep(mode, family, start, span, step, seed):
 # MAX_VERTEX_ID itself is left out, as it would allocate 2**22 rows
 TOKENS = st.one_of(
     st.integers(min_value=-3, max_value=12).map(str),
-    st.sampled_from([str(MAX_VERTEX_ID + 1), "10" * 20, "#", "1.5", "0x3", "٣"]),
+    st.sampled_from([str(MAX_VERTEX_ID + 1), "10" * 20, "9" * 4301, "#", "1.5", "0x3", "٣"]),
     st.text(max_size=3),
 )
 LINES = st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=8).map("\n".join)
@@ -168,6 +168,7 @@ LINES = st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=8).map("\n
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.text(), LINES))
+@example("0 " + "9" * 4301)  # past int()'s 4300-digit limit
 def test_parser_raises_only_parse_errors(text):
     try:
         g = parse_edge_list(text)

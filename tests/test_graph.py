@@ -972,6 +972,23 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListParseError, match="vertex id 100000000 exceeds"):
             parse_edge_list("100000000 0\n")
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("9" * 5000, "vertex id 9{5000} exceeds MAX_VERTEX_ID"),
+            ("0" * 5000 + "1" + "0" * 7, "vertex id 10000000 exceeds MAX_VERTEX_ID"),
+            ("-" + "9" * 5000, "negative vertex id"),
+        ],
+        ids=["long", "zero-padded", "long-negative"],
+    )
+    def test_id_past_int_digit_limit(self, token, message):
+        # int() refuses strings of over 4300 digits, leading zeros included
+        for text in (f"0 1\n{token} 4\n", f"0 1\n4 {token}\n"):
+            with pytest.raises(EdgeListParseError, match=f"line 2: {message}"):
+                parse_edge_list(text)
+        zeros = "0" * 5000
+        assert parse_edge_list(f"{zeros}7 -{zeros}\n").edges == ((0, 7),)
+
     def test_vertex_id_at_cap_accepted(self, monkeypatch):
         # the graph itself would hold 2**22 adjacency rows (about 3 s and
         # 340 MB), so only the request the parser makes is checked
