@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 import time
+from typing import Iterable
 
 from . import degree_extract, edge_extract, hosts, oracle
 from .graph import (
@@ -59,17 +60,23 @@ def _load_graph(path: str):
     return parse_edge_list(text)
 
 
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path``; a path that cannot be written is a
+    usage error, as an unreadable ``--in`` is."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(doc: dict, out_path) -> None:
+    """Print ``doc``, after writing it to ``out_path`` if one is given, so
+    that a failed write prints no report."""
     text = dumps(doc)
-    print(text)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _write_edges(graph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(edge_list_lines(graph))
+        _write(out_path, (text, "\n"))
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +101,10 @@ def _cmd_host_build(args) -> int:
         "family": host.certified_family.describe() if host.certified_family else None,
         "degraded": False,
     }
-    _emit(doc, None)
     if args.out:
-        _write_edges(host.graph, args.out)
-        with open(args.out + ".meta", "w") as fh:
-            fh.write(host.metadata_block())
+        _write(args.out, edge_list_lines(host.graph))
+        _write(args.out + ".meta", (host.metadata_block(),))
+    _emit(doc, None)
     return EXIT_OK
 
 
@@ -122,9 +128,9 @@ def _extract(g, args):
 
 def _cmd_extract(args) -> int:
     graph, report = _extract(_load_graph(args.infile), args)
-    _emit(report.to_dict(), None)
     if args.out:
-        _write_edges(graph, args.out)
+        _write(args.out, edge_list_lines(graph))
+    _emit(report.to_dict(), None)
     return EXIT_DEGRADED if report.extras.get("degraded") else EXIT_OK
 
 
@@ -232,10 +238,9 @@ def _cmd_sweep(args) -> int:
     lines.extend(rows)
     lines.append(f"# slope={slope:.6f} points={len(xs)} mode={args.mode}")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, (text,))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -302,6 +302,30 @@ def test_usage_error_exits_one(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "edges", "--r", "2", "--trials", "1", "--in"],
+        ["extract", "degree", "--r", "2", "--trials", "1", "--in"],
+        ["verify", "--family", "even:4", "--in"],
+        ["oracle", "--family", "even:4", "--in"],
+        ["host", "build", "--kind", "polarity", "--q", "3"],
+        ["sweep", "--mode", "f", "--n", "8:20:4"],
+    ],
+    ids=["extract-edges", "extract-degree", "verify", "oracle", "host-build", "sweep"],
+)
+def test_unwritable_out_usage_error(capsys, c5_path, tmp_path, argv):
+    # the report is printed only after --out is written
+    out = tmp_path / "missing" / "x.out"
+    if argv[-1] == "--in":
+        argv = [*argv, c5_path]
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    # sweep reports each point on stderr before the error line
+    assert captured.err.endswith(f"error: cannot write {out}: No such file or directory\n")
+
+
 class TestDeterminism:
     def test_repeat_byte_identical(self, capsys, k7_path):
         argv = ["extract", "edges", "--in", k7_path, "--seed", "9", "--trials", "4"]
