@@ -867,10 +867,17 @@ class TestPairFromIndex:
 
 
 class TestSubgraphs:
-    def test_edge_subgraph_predicate(self):
-        g = cycle_graph(4)
-        sub = edge_subgraph(g, lambda e: e[0] == 0)
-        assert sub.n == 4 and sub.m == 2
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(max_n=10), data=st.data())
+    def test_edge_subgraph_predicate(self, g, data):
+        # the kept pairs are not checked again: the cut equals the checked
+        # build of the same pairs, and holds g's own edge tuples
+        mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        keep = dict(zip(g.edges, mask))
+        kept = [e for e in g.edges if keep[e]]
+        sub = edge_subgraph(g, keep.__getitem__)
+        assert sub == Graph.from_edges(g.n, kept)
+        assert all(a is b for a, b in zip(sub.edges, kept, strict=True))
 
     def test_check_parts(self):
         k22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
