@@ -993,6 +993,8 @@ class TestEdgeListFormat:
         for text in (f"0 1\n{token} 4\n", f"0 1\n4 {token}\n"):
             with pytest.raises(EdgeListParseError, match=f"line 2: {message}"):
                 parse_edge_list(text)
+
+    def test_zero_padding_past_int_digit_limit_accepted(self):
         zeros = "0" * 5000
         assert parse_edge_list(f"{zeros}7 -{zeros}\n").edges == ((0, 7),)
 
