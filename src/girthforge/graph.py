@@ -845,11 +845,10 @@ def closes_forbidden_cycle(
       dist(u, v) <= L - 1.  Balls around u and v grow one level at a time,
       always on the side with the smaller frontier, until they meet or
       their radii sum to L - 1.
-    - ``even:4`` and ``even:6`` read the two-step sets W_x, the union of
-      N(a) over a in N(x).  A caller that keeps them passes them as
-      ``reach2`` (``reach2[x]`` = W_x for every x the query can reach:
-      u, v and their neighbors); without it each one the query reads is
-      built from ``adj``.
+    - ``even:4`` and ``even:6`` with ``reach2``: the caller keeps the
+      two-step sets W_x, the union of N(a) over a in N(x), for every x
+      the query can reach (u, v and their neighbors), and passes them as
+      ``reach2[x]``.  No set is built here.
     - ``even:4``: l must be 3.  A 3-walk u-a-b-v is always a simple path:
       a != v and b != u because uv is not an edge.  So the answer is
       whether W_u meets N(v).
@@ -863,12 +862,13 @@ def closes_forbidden_cycle(
       a = d or b = v, then u and v share a neighbor.  Every other
       coincidence needs uv to be an edge.  When u and v do share a
       neighbor, the path search decides.
-    - ``even:2r`` otherwise (:func:`_odd_path_dfs`): l must be odd, and a
-      DFS over simple paths from u, pruned by BFS distances to v, decides.
+    - ``even:2r`` otherwise, and every even query without ``reach2``
+      (:func:`_odd_path_dfs`): l must be odd, and a path search decides.
 
     This one test decides every edge of the greedy extractor, which
     passes the ``reach2`` it keeps, and of the exact oracle's branch and
-    bound, which removes edges and passes none.  The greedy high-girth
+    bound, which removes edges and passes none, so the path search alone
+    decides the oracle's even queries.  The greedy high-girth
     host decides its pairs from stored distance balls instead
     (:func:`hosts.greedy_high_girth`).
     """
@@ -891,26 +891,19 @@ def closes_forbidden_cycle(
             ball |= frontier
         return False
 
-    if max_len <= 5:
-        if reach2 is not None:
-            two_step = reach2.__getitem__
-        else:
-
-            def two_step(x: int) -> set[int]:
-                return set().union(*map(adj.__getitem__, adj[x]))
-
+    if max_len <= 5 and reach2 is not None:
         nbrs_u, nbrs_v = adj[u], adj[v]
-        reach_u = two_step(u)
+        reach_u = reach2[u]
         if not reach_u.isdisjoint(nbrs_v):
             return True
         if max_len == 3:
             return False
         if v not in reach_u:
             if len(nbrs_u) <= len(nbrs_v):
-                near, far = nbrs_u, two_step(v)
+                near, far = nbrs_u, reach2[v]
             else:
                 near, far = nbrs_v, reach_u
-            return any(not two_step(a).isdisjoint(far) for a in near)
+            return any(not reach2[a].isdisjoint(far) for a in near)
     return _odd_path_dfs(adj, u, v, max_len)
 
 
@@ -919,13 +912,17 @@ def _odd_path_dfs(
 ) -> bool:
     """Is there a simple u-v path of odd length l, 3 <= l <= ``max_len``?
 
-    ``max_len`` is odd and uv is not an edge.  A BFS from v to radius
-    R = floor(max_len / 2) gives dist(x, v) for the vertices near v; a
-    backtracking DFS from u over simple paths, with one mutable on-path
-    set, drops a branch once its remaining length budget is at most R and
-    v is not within that budget.  The BFS distance is a lower bound on the
-    length of every x-v path, so the pruning is exact.
+    ``max_len`` is odd and uv is not an edge.  At ``max_len`` 3 every
+    3-walk u-a-b-v is a path (a != v and b != u), so one scan of N(u)
+    decides.  Otherwise a BFS from v to radius R = floor(max_len / 2)
+    gives dist(x, v) for the vertices near v; a backtracking DFS from u
+    over simple paths, with one mutable on-path set, drops a branch once
+    its remaining length budget is at most R and v is not within that
+    budget.  The BFS distance is a lower bound on the length of every
+    x-v path, so the pruning is exact.
     """
+    if max_len == 3:
+        return any(not adj[a].isdisjoint(adj[v]) for a in adj[u])
     radius = max_len // 2
     dist_v = {v: 0}
     frontier = [v]

@@ -5,12 +5,11 @@ cherry (common-neighbor) bound for C4-free bipartite graphs.  Used to
 validate extractor outputs, never to produce them.  The branch and bound
 decides each edge with :func:`graph.closes_forbidden_cycle`, the test
 that decides every edge of the greedy extractor, so the oracle is
-independent of the extractors' pipelines but not of that test's lemma.
-The greedy passes the two-step sets it keeps as it adds edges; the
-branch and bound also removes edges, so it passes none and the test
-builds the sets each query reads from the kept neighbor sets.
-``tests/bruteforce.py`` checks the test itself, C4 and C6 set-operation
-answers included.  The witness is re-certified by
+independent of the extractors' pipelines but not of that test.  It also
+removes edges, so it keeps no two-step sets and passes none: its even
+queries go to the test's path search, never to the C4 and C6 set rule
+that the greedy's kept sets feed.  ``tests/bruteforce.py`` checks the
+test itself.  The witness is re-certified by
 :func:`graph.check_family_free`, which does not use that test.
 """
 

@@ -34,7 +34,9 @@ from girthforge.graph import (
     pair_from_index,
     parse_edge_list,
 )
+from girthforge import edge_extract as edge_mod
 from girthforge import graph as graph_mod
+from girthforge.edge_extract import greedy_family_free
 from girthforge.hosts import clique_apex, complete, incidence_graph_pg2, random_gnm
 from bruteforce import (
     brute_girth,
@@ -718,6 +720,12 @@ def _adjacency_sets(g):
     return [set(a) for a in g.adjacency]
 
 
+def _two_step_sets(adj):
+    """W_x, the union of N(a) over a in N(x), for every x: the sets the
+    greedy keeps, built here from their definition."""
+    return [set().union(*(adj[a] for a in nbrs)) for nbrs in adj]
+
+
 class TestClosesForbiddenCycle:
     @given(small_graphs(max_n=10, max_m=18), st.data())
     @settings(max_examples=150, deadline=None)
@@ -796,9 +804,10 @@ class TestSetOperationPaths:
             u, v = v, u
         lengths = cycle_lengths_through(g, u, v, 8)
         adj = _adjacency_sets(g)
+        reach2 = _two_step_sets(adj)
         for fam in SET_PATH_FAMILIES:
             expected = any(fam.matches(c) for c in lengths)
-            assert closes_forbidden_cycle(adj, u, v, fam) == expected, fam
+            assert closes_forbidden_cycle(adj, u, v, fam, reach2) == expected, fam
 
     @pytest.mark.parametrize("name", sorted(COINCIDENCE_WALKS))
     @pytest.mark.parametrize("flip", [False, True])
@@ -810,11 +819,12 @@ class TestSetOperationPaths:
         lengths = cycle_lengths_through(g, u, v, 8)
         assert any(c % 2 == 0 for c in lengths) == three_path
         adj = _adjacency_sets(g)
+        reach2 = _two_step_sets(adj)
         with mock.patch.object(
             graph_mod, "_odd_path_dfs", wraps=graph_mod._odd_path_dfs
         ) as dfs:
             for fam in SET_PATH_FAMILIES[:2]:
-                assert closes_forbidden_cycle(adj, u, v, fam) == three_path, fam
+                assert closes_forbidden_cycle(adj, u, v, fam, reach2) == three_path, fam
         # only the shared-neighbor cases reach the path search
         assert dfs.call_count == (0 if three_path else 1)
 
@@ -827,19 +837,20 @@ class TestSetOperationPaths:
     )
     @pytest.mark.parametrize("bound", [4, 6])
     def test_matches_the_path_search_on_every_greedy_query(self, g, bound):
-        # one greedy pass; each query is decided by both forms
+        # one greedy pass, on the two-step sets it keeps; each query is
+        # decided by both forms
         fam = ForbiddenFamily("even", bound)
-        order = list(g.edges)
-        random.Random(bound).shuffle(order)
-        adj = [set() for _ in range(g.n)]
         verdicts = set()
-        for u, v in order:
-            closes = closes_forbidden_cycle(adj, u, v, fam)
+
+        def both_forms(adj, u, v, fam, reach2):
+            assert reach2 is not None
+            closes = closes_forbidden_cycle(adj, u, v, fam, reach2)
             assert closes == graph_mod._odd_path_dfs(adj, u, v, bound - 1), (u, v)
             verdicts.add(closes)
-            if not closes:
-                adj[u].add(v)
-                adj[v].add(u)
+            return closes
+
+        with mock.patch.object(edge_mod, "closes_forbidden_cycle", both_forms):
+            greedy_family_free(g, fam, bound)
         assert verdicts == {False, True}
 
 
