@@ -843,8 +843,10 @@ def closes_forbidden_cycle(
 
     - ``all:L``: a shortest path is simple, so this is exactly
       dist(u, v) <= L - 1.  Balls around u and v grow one level at a time,
-      always on the side with the smaller frontier, until they meet or
-      their radii sum to L - 1.
+      always on the side with the smaller frontier (of two single
+      vertices, the one with fewer neighbors, so a hub is expanded only
+      when the other side needs as much), until they meet or their radii
+      sum to L - 1.
     - ``even:4`` and ``even:6`` with ``reach2``: the caller keeps the
       two-step sets W_x, the union of N(a) over a in N(x), for every x
       the query can reach (u, v and their neighbors), and passes them as
@@ -880,7 +882,10 @@ def closes_forbidden_cycle(
         ball, other = {u}, {v}
         frontier, other_frontier = {u}, {v}
         for _ in range(max_len):
-            if len(frontier) > len(other_frontier):
+            if len(frontier) > len(other_frontier) or (
+                len(frontier) == len(other_frontier) == 1
+                and len(adj[min(frontier)]) > len(adj[min(other_frontier)])
+            ):
                 ball, other = other, ball
                 frontier, other_frontier = other_frontier, frontier
             frontier = {y for x in frontier for y in adj[x]} - ball
@@ -912,15 +917,22 @@ def _odd_path_dfs(
 ) -> bool:
     """Is there a simple u-v path of odd length l, 3 <= l <= ``max_len``?
 
-    ``max_len`` is odd and uv is not an edge.  At ``max_len`` 3 every
-    3-walk u-a-b-v is a path (a != v and b != u), so one scan of N(u)
-    decides.  Otherwise a BFS from v to radius R = floor(max_len / 2)
+    ``max_len`` is odd and uv is not an edge.  An endpoint with no
+    neighbor ends no such path.  The search walks from the endpoint with
+    fewer neighbors (named u below; the paths are the same, reversed), so
+    a hub is not the root whose every branch it walks.  At ``max_len`` 3
+    every 3-walk u-a-b-v is a path (a != v and b != u), so one scan of
+    N(u) decides.  Otherwise a BFS from v to radius R = floor(max_len / 2)
     gives dist(x, v) for the vertices near v; a backtracking DFS from u
     over simple paths, with one mutable on-path set, drops a branch once
     its remaining length budget is at most R and v is not within that
     budget.  The BFS distance is a lower bound on the length of every
     x-v path, so the pruning is exact.
     """
+    if not adj[u] or not adj[v]:
+        return False
+    if len(adj[v]) < len(adj[u]):
+        u, v = v, u  # the same paths, reversed
     if max_len == 3:
         return any(not adj[a].isdisjoint(adj[v]) for a in adj[u])
     radius = max_len // 2

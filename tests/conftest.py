@@ -46,6 +46,48 @@ def dense_graphs(draw):
     return Graph.from_edges(n, [pair_from_index(n, idx) for idx in chosen])
 
 
+def hub_shape(shape, n):
+    """A graph on ``n`` vertices with one or two high-degree vertices: a
+    star on 0, a double star (0 1, then the rest split between them), a
+    wheel or fan (0 joined to the cycle or path 1..n-1), K_{2,n-2}, or a
+    star with the path 1-2-3-4 added, which closes 4-cycles through 0."""
+    rest = range(1, n)
+    if shape == "star":
+        edges = [(0, x) for x in rest]
+    elif shape == "double-star":
+        edges = [(0, 1)] + [(x % 2, x) for x in range(2, n)]
+    elif shape in ("wheel", "fan"):
+        edges = [(0, x) for x in rest] + [(x, x + 1) for x in range(1, n - 1)]
+        if shape == "wheel":
+            edges.append((1, n - 1))
+    elif shape == "k2":
+        edges = [(h, x) for h in (0, 1) for x in range(2, n)]
+    elif shape == "star-c4":
+        edges = [(0, x) for x in rest] + [(1, 2), (2, 3), (3, 4)]
+    else:
+        raise ValueError(shape)
+    return Graph.from_edges(n, edges)
+
+
+HUB_SHAPES = ("star", "double-star", "wheel", "fan", "k2", "star-c4")
+
+
+@st.composite
+def hub_graphs(draw, max_n=12):
+    """A :func:`hub_shape` on 5..``max_n`` vertices, with its ids shuffled
+    and each edge dropped with a drawn probability, so that hubs can be
+    either end of a non-edge."""
+    shape = draw(st.sampled_from(HUB_SHAPES))
+    g = hub_shape(shape, draw(st.integers(min_value=5, max_value=max_n)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    label = list(range(g.n))
+    rng.shuffle(label)
+    drop = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    return Graph.from_edges(
+        g.n, [(label[u], label[v]) for u, v in g.edges if rng.random() >= drop]
+    )
+
+
 def heawood():
     """The Heawood graph, the point-line incidence graph of PG(2,2): cubic,
     bipartite (even and odd vertices), girth 6, from its LCF notation

@@ -49,7 +49,15 @@ from bruteforce import (
     reference_from_edges,
     reference_two_coloring,
 )
-from conftest import bipartite_graphs, dense_graphs, heawood, small_graphs
+from conftest import (
+    HUB_SHAPES,
+    bipartite_graphs,
+    dense_graphs,
+    heawood,
+    hub_graphs,
+    hub_shape,
+    small_graphs,
+)
 
 
 def cycle_graph(n):
@@ -727,8 +735,11 @@ def _two_step_sets(adj):
 
 
 class TestClosesForbiddenCycle:
-    @given(small_graphs(max_n=10, max_m=18), st.data())
-    @settings(max_examples=150, deadline=None)
+    # hub shapes put a high-degree vertex at one end of the query, at both
+    # (K_{2,k}, the double star), or in the middle of its paths; each query
+    # is asked without kept sets (the path search) and with them
+    @given(st.one_of(small_graphs(max_n=10, max_m=18), hub_graphs()), st.data())
+    @settings(max_examples=250, deadline=None)
     def test_matches_bruteforce(self, g, data):
         non_edges = [
             (a, b) for a in range(g.n) for b in range(a + 1, g.n)
@@ -740,9 +751,34 @@ class TestClosesForbiddenCycle:
             u, v = v, u
         lengths = cycle_lengths_through(g, u, v, 10)
         adj = _adjacency_sets(g)
+        reach2 = _two_step_sets(adj)
         for fam in EDGE_TEST_FAMILIES:
             expected = any(fam.matches(c) for c in lengths)
             assert closes_forbidden_cycle(adj, u, v, fam) == expected, fam
+            assert closes_forbidden_cycle(adj, u, v, fam, reach2) == expected, fam
+
+    @pytest.mark.parametrize("shape", HUB_SHAPES)
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_every_query_on_hub_shapes(self, shape, n):
+        # every non-edge of each whole shape, and of the shape with each
+        # edge at 0 or 1 (the hubs) removed in turn, so a hub is an end of
+        # the query
+        g = hub_shape(shape, n)
+        graphs = [g] + [
+            Graph.from_edges(n, [e for e in g.edges if e != cut])
+            for cut in g.edges if cut[0] <= 1
+        ]
+        for h in graphs:
+            adj = _adjacency_sets(h)
+            reach2 = _two_step_sets(adj)
+            for u, v in itertools.permutations(range(n), 2):
+                if h.has_edge(u, v):
+                    continue
+                lengths = cycle_lengths_through(h, u, v, 10)
+                for fam in EDGE_TEST_FAMILIES:
+                    expected = any(fam.matches(c) for c in lengths)
+                    assert closes_forbidden_cycle(adj, u, v, fam) == expected
+                    assert closes_forbidden_cycle(adj, u, v, fam, reach2) == expected
 
     def test_different_components(self):
         # two 5-cycles, u and v on different ones
