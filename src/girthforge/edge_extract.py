@@ -325,14 +325,17 @@ def greedy_family_free(g: Graph, fam: ForbiddenFamily, seed: int) -> Graph:
     kept (:func:`graph.closes_forbidden_cycle`).  ``adj`` holds the kept
     graph's neighbor sets, and for ``even:4`` and ``even:6`` ``reach2``
     its two-step sets (``reach2[x]`` is the union of N(y) over y in N(x)),
-    which that test reads to answer C4 and C6 with set operations.  Edges
+    which that test reads to answer C4 and C6 with set operations; they
+    are the only two-step sets it reads, and it builds none.  Edges
     are only ever added, so keeping uv adds v to ``reach2[a]`` for each a
     already in N(u), u to ``reach2[d]`` for each d already in N(v), and
     the new N(v) and N(u) to ``reach2[u]`` and ``reach2[v]``.  Both hold a
     set only for the vertices with a neighbor in ``g``, the only possible
     endpoints, so an input of sparse ids costs nothing per unused id.  The
     output is read from ``adj``.  Maximality makes this the strongest
-    deterministic fallback on dense inputs.
+    deterministic fallback on dense inputs.  On an input free of ``fam``
+    it would keep every edge, so the extractor runs it only on an input
+    with a forbidden cycle.
     """
     order = list(g.edges)
     random.Random(seed).shuffle(order)
@@ -376,7 +379,10 @@ def extract_even_cycle_free(
     With ``odd_free`` the input is first bipartized (k = 3), upgrading the
     target family from even cycles up to 2r to all cycles up to 2r+1.
     More trials can only improve the result (best-of semantics; ties break
-    toward the earlier candidate).
+    toward the earlier candidate).  An input already free of the family
+    is the first candidate, ``identity``, and no later one can beat it; a
+    greedy pass would keep all its edges and tie, so no trial runs one.
+    The cases still run, and ``trial_mean_edges`` averages their outputs.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -419,8 +425,9 @@ def extract_even_cycle_free(
             out = extract(trial_seed)
             value = certify(out, fam, f"{method} output")
             candidates.append((out, value, {"method": method}))
-        gout = greedy_family_free(work, fam, mix(trial_seed, _SALT_GREEDY))
-        candidates.append((gout, None, {"method": "greedy"}))
+        if witness is not None:
+            gout = greedy_family_free(work, fam, mix(trial_seed, _SALT_GREEDY))
+            candidates.append((gout, None, {"method": "greedy"}))
 
     case_edges = [
         out.m for out, _, f in candidates if f["method"] in ("case1", "case2")

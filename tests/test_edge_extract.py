@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girthforge.cli import main
 from girthforge.graph import (
     ForbiddenFamily,
     Graph,
     VertexColoring,
     certify,
     check_family_free,
+    format_edge_list,
     girth,
 )
 from girthforge import edge_extract as edge_mod
@@ -39,7 +41,7 @@ from girthforge.edge_extract import (
     star_fallback,
 )
 from bruteforce import has_forbidden, reference_case1, reference_greedy_family_free
-from conftest import dense_graphs, each_graph_searched_once, small_graphs
+from conftest import dense_graphs, each_graph_searched_once, hub_shape, small_graphs
 
 EVEN4 = ForbiddenFamily("even", 4)
 
@@ -483,6 +485,32 @@ class TestExtractor:
         ]
         edges = [out.m for out in outputs[case]]
         assert report.extras["trial_mean_edges"] == sum(edges) / trials
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize(
+        "shape, greedy_runs", [("double-star", False), ("star-c4", True)]
+    )
+    def test_greedy_runs_only_on_an_input_with_a_forbidden_cycle(
+        self, tmp_path, capsys, r, shape, greedy_runs
+    ):
+        # a double star has no cycle: identity wins, and a greedy pass would
+        # only tie it, so none runs and the report stays as it was
+        path = tmp_path / f"{shape}.edges"
+        path.write_text(format_edge_list(hub_shape(shape, 30)))
+        with mock.patch.object(
+            edge_mod, "greedy_family_free", wraps=greedy_family_free
+        ) as greedy:
+            argv = ["extract", "edges", "--r", str(r), "--trials", "2", "--in", str(path)]
+            assert main(argv) == 0
+        assert greedy.call_count == (2 if greedy_runs else 0)
+        if not greedy_runs:
+            assert capsys.readouterr().out == (
+                '{"certificate":{"family":"even:%d","status":"pass"},'
+                '"input":{"m":29,"n":30},"method":"identity","odd_free":false,'
+                '"output":{"edges":29,"girth":"Infinite","min_degree":1},'
+                '"r":%d,"schema_version":1,"seed":0,"timing_ms":null,'
+                '"trial_mean_edges":5.0,"trials":2}\n' % (2 * r, r)
+            )
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_small_star_is_identity(self, r):
