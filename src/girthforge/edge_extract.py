@@ -377,12 +377,14 @@ def extract_even_cycle_free(
     """Best certified family-free subgraph over trials plus fallbacks.
 
     With ``odd_free`` the input is first bipartized (k = 3), upgrading the
-    target family from even cycles up to 2r to all cycles up to 2r+1.
-    More trials can only improve the result (best-of semantics; ties break
-    toward the earlier candidate).  An input already free of the family
-    is the first candidate, ``identity``, and no later one can beat it; a
-    greedy pass would keep all its edges and tie, so no trial runs one.
-    The cases still run, and ``trial_mean_edges`` averages their outputs.
+    target family from even cycles up to 2r to all cycles up to 2r+1; the
+    other candidates are built from that bipartite half, but ``identity``
+    is always the input itself, tested against the family.  More trials
+    can only improve the result (best-of semantics; ties break toward the
+    earlier candidate).  An input already free of the family is the first
+    candidate, ``identity``, and no later one can beat it; a greedy pass
+    would keep all its edges and tie, so no trial runs one.  The cases
+    still run, and ``trial_mean_edges`` averages their outputs.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -397,9 +399,9 @@ def extract_even_cycle_free(
 
     # (graph, certified girth or None when not yet certified, fields)
     candidates: list[tuple[Graph, Optional[float], dict]] = []
-    value, witness = family_girth(work, fam)
+    value, witness = family_girth(g, fam)
     if witness is None:
-        candidates.append((work, value, {"method": "identity"}))
+        candidates.append((g, value, {"method": "identity"}))
     candidates.append((spanning_forest(work), None, {"method": "forest"}))
     candidates.append((star_fallback(work), None, {"method": "star"}))
     candidates.append((matching_fallback(work), None, {"method": "matching"}))

@@ -392,6 +392,22 @@ class TestExtractor:
         assert report.extras["odd_free"] is True
         assert girth(out) >= 6
 
+    def test_odd_free_identity_is_the_input(self):
+        # C7 is free of all:5, so the input itself wins, all 7 edges of it
+        c7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+        out, report = extract_even_cycle_free(c7, 2, 1, 0, odd_free=True)
+        assert (report.method, out) == ("identity", c7)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_odd_free_identity_needs_a_free_input(self, r):
+        # a triangle joined by the edge 0 6 to a C6: the input holds a
+        # triangle, though its bipartite half at seed 0 is a 7-edge forest
+        g = Graph.from_edges(
+            9, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (6, 7), (7, 8), (6, 8)]
+        )
+        out, report = extract_even_cycle_free(g, r, 1, 0, odd_free=True)
+        assert (report.method, out.m) == ("forest", 7)
+
     def test_deterministic(self):
         g = random_gnm(25, 50, 8)
         a, ra = extract_even_cycle_free(g, 2, 3, 42)
