@@ -382,9 +382,9 @@ def extract_even_cycle_free(
     is always the input itself, tested against the family.  More trials
     can only improve the result (best-of semantics; ties break toward the
     earlier candidate).  An input already free of the family is the first
-    candidate, ``identity``, and no later one can beat it; a greedy pass
-    would keep all its edges and tie, so no trial runs one.  The cases
-    still run, and ``trial_mean_edges`` averages their outputs.
+    candidate, ``identity``, and no later candidate has more edges, so no
+    trial runs the greedy.  The cases still run, and ``trial_mean_edges``
+    averages their outputs.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
